@@ -11,8 +11,9 @@
 
 use randmod_core::PlacementKind;
 use randmod_experiments::cli::ExperimentOptions;
-use randmod_experiments::fig4::CUTOFF_PROBABILITY;
+use randmod_experiments::fig4::{self, CUTOFF_PROBABILITY};
 use randmod_experiments::{fig1, fig6, runner, table2};
+use randmod_mbpta::HighWaterMark;
 use randmod_workloads::{CoSchedule, EembcBenchmark};
 
 /// The recorded Figure 1 headline number: pWCET(10⁻¹⁵) = 171,639 cycles
@@ -99,4 +100,49 @@ fn table2_cacheb_row_matches_the_recorded_values() {
         row.et_p_value
     );
     assert!(!row.passed, "cacheb unexpectedly passed (D1 resolved?): {row}");
+}
+
+/// The Figure 4(b) deterministic baseline: the high-water mark and the
+/// summed cycles of every EEMBC kernel across the default
+/// `fig4b_rm_vs_det` layout sweep (32 layouts on the modulo/LRU
+/// platform).  The sweep installs no placement seed, so the pin holds at
+/// every campaign seed; it guards the layout-sweep engine the way the pins
+/// above guard the seed sweep.
+#[test]
+fn fig4b_deterministic_hwm_matches_the_recorded_values() {
+    const RECORDED: [(EembcBenchmark, u64, u64); 11] = [
+        (EembcBenchmark::A2time, 243_600, 7_795_200),
+        (EembcBenchmark::Basefp, 244_644, 7_828_608),
+        (EembcBenchmark::Bitmnp, 216_034, 6_913_088),
+        (EembcBenchmark::Cacheb, 243_516, 7_792_512),
+        (EembcBenchmark::Canrdr, 205_272, 6_568_704),
+        (EembcBenchmark::Matrix, 151_532, 4_849_024),
+        (EembcBenchmark::Pntrch, 147_716, 4_726_912),
+        (EembcBenchmark::Puwmod, 209_866, 6_715_712),
+        (EembcBenchmark::Rspeed, 166_038, 5_313_216),
+        (EembcBenchmark::Tblook, 199_742, 6_391_744),
+        (EembcBenchmark::Ttsprk, 231_696, 7_414_272),
+    ];
+    let options = ExperimentOptions::default();
+    let layouts = fig4::fig4b_layouts(options.quick);
+    assert_eq!(layouts, fig4::FIG4B_LAYOUTS);
+    assert_eq!(RECORDED.len(), EembcBenchmark::ALL.len());
+    for (benchmark, hwm, total) in RECORDED {
+        let sample =
+            runner::measure_deterministic_sweep(&benchmark, layouts, options.threads).unwrap();
+        assert_eq!(sample.len(), layouts);
+        assert_eq!(
+            HighWaterMark::from_sample(&sample).value(),
+            hwm,
+            "{} deterministic hwm drifted",
+            benchmark.label()
+        );
+        let sum: u64 = sample.values().iter().map(|&v| v as u64).sum();
+        assert_eq!(
+            sum,
+            total,
+            "{} layout-sweep cycles drifted",
+            benchmark.label()
+        );
+    }
 }
