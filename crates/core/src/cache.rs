@@ -896,6 +896,14 @@ impl SetAssocCacheLanes {
         flags: &mut [AccessFlags],
     ) {
         debug_assert_eq!(flags.len(), self.active, "one flags slot per active lane");
+        // A one-lane wave (a width-1 bank, or the tail group of a wider
+        // one) has nothing to vectorise across: the sparse per-lane probe
+        // is cheaper than the wave's scratch sweeps and is bit-identical
+        // to it.
+        if let [flag] = flags {
+            *flag = self.access_lean_lane(0, line, kind);
+            return;
+        }
         debug_assert_ne!(
             line.raw(),
             INVALID_TAG,
@@ -1658,18 +1666,23 @@ mod tests {
 
     #[test]
     fn lane_bank_matches_scalar_caches_for_every_policy_mix() {
+        // A full four-lane bank, a width-1 bank, and a four-lane bank with
+        // one active lane (a campaign's tail group): one-lane waves take
+        // the sparse per-lane path, wider ones the wave sweeps.
         let geometry = CacheGeometry::new(8, 4, 32).unwrap();
-        for placement in PlacementKind::ALL {
-            for replacement in ReplacementKind::ALL {
-                for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-                    assert_lane_bank_matches_scalars(
-                        geometry,
-                        placement,
-                        replacement,
-                        write_policy,
-                        4,
-                        4,
-                    );
+        for (active, capacity) in [(4usize, 4usize), (1, 1), (1, 4)] {
+            for placement in PlacementKind::ALL {
+                for replacement in ReplacementKind::ALL {
+                    for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                        assert_lane_bank_matches_scalars(
+                            geometry,
+                            placement,
+                            replacement,
+                            write_policy,
+                            active,
+                            capacity,
+                        );
+                    }
                 }
             }
         }

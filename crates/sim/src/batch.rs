@@ -1,8 +1,8 @@
 //! Seed-batched replay: decode the trace once, simulate many seeds.
 //!
 //! An MBPTA campaign replays one immutable trace under ~1,000 placement
-//! seeds.  The sequential protocol pays the trace decode (and its memory
-//! traffic) once *per run*; [`BatchCore`] instead steps `K` independent
+//! seeds.  Replaying one seed at a time pays the trace decode (and its
+//! memory traffic) once *per run*; [`BatchCore`] instead steps `K` independent
 //! *seed lanes* through every event as it is decoded, so a campaign of
 //! `N` runs streams the trace `N / K` times instead of `N`.  Since the
 //! wavefront rewrite the lanes are not `K` separate hierarchies but one
@@ -13,17 +13,19 @@
 //! draws and statistics updates evaluated in chunked cross-lane sweeps.
 //!
 //! Lanes never interact: each lane is reseeded with its own placement
-//! seed and observes exactly the event sequence the sequential replay
-//! would feed it, so batched results are bit-identical to running the
-//! lanes one at a time (pinned by the `batch_equivalence` proptest suite
-//! and the campaign tests).  Per-run statistics are accumulated in each
+//! seed and observes exactly the event sequence a lone replay would feed
+//! it, so batched results are bit-identical to running the lanes one at a
+//! time (pinned by the `batch_equivalence` proptest suite, the campaign
+//! tests, and the independent reference model in `tests/`).  Per-run statistics are accumulated in each
 //! lane's compact counter block and expanded to [`HierarchyStats`] once
 //! per run, instead of read-modify-writing the per-cache statistics
 //! structs on every event.
 //!
-//! [`crate::run::Campaign`] routes through `BatchCore` by default;
-//! `Campaign::with_lanes(1)` degenerates to the sequential shape (one
-//! hierarchy per decode pass) and serves as the comparison baseline in the
+//! `BatchCore` is the one solo engine: [`crate::run::Campaign`] runs seed
+//! sweeps on it `K` lanes wide and layout sweeps (one seed per trace) at
+//! width 1, where every probe takes the sparse per-lane path instead of a
+//! wave.  [`crate::cpu::InOrderCore`] is the same engine at width 1, and
+//! `Campaign::with_lanes(1)` is the width-1 baseline of the
 //! `campaign_throughput` benchmark.
 
 use crate::config::PlatformConfig;
@@ -50,10 +52,10 @@ use randmod_core::{Address, ConfigError, LineAddr};
 /// let mut batch = BatchCore::new(&config, 4)?;
 /// let results = batch.execute_batch(&trace, &[1, 2, 3, 4]);
 ///
-/// // Bit-identical to the sequential replay of each seed.
-/// let mut sequential = InOrderCore::new(&config)?;
+/// // Bit-identical to running each seed alone.
+/// let mut single = InOrderCore::new(&config)?;
 /// for (seed, (cycles, stats)) in [1u64, 2, 3, 4].into_iter().zip(&results) {
-///     assert_eq!(sequential.execute_isolated(&trace, seed), (*cycles, *stats));
+///     assert_eq!(single.execute_isolated(&trace, seed), (*cycles, *stats));
 /// }
 /// # Ok(())
 /// # }
@@ -264,10 +266,12 @@ mod tests {
         // Exercise the same-line read-run collapse hard: long straight-
         // line fetch runs stepping 4 bytes through 32-byte lines, loads
         // striding within lines, runs crossing line boundaries, and runs
-        // interrupted by stores and computes — checked against the true
-        // sequential InOrderCore reference (which has no collapse path),
-        // for hitting *and* missing first accesses and both replacement
-        // behaviours of the L1.
+        // interrupted by stores and computes — checked across lane widths
+        // (width 1 probes every access through the sparse per-lane path,
+        // wider banks through waves), for hitting *and* missing first
+        // accesses and both replacement behaviours of the L1.  The
+        // collapse itself is checked against the uncollapsed reference
+        // model in `tests/reference_model.rs`.
         let mut trace = Trace::new();
         for block in 0..400u64 {
             let code = 0x1000 + (block % 29) * 4;

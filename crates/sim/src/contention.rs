@@ -44,10 +44,9 @@
 //! **Solo-task equivalence.**  A contended run with one task and idle
 //! (empty-trace) opponents reproduces the single-task engine exactly:
 //! the seed→layout derivation of [`SharedL2Hierarchy::reseed`] draws the
-//! victim's IL1, DL1 and the shared L2 seeds in the same order as
-//! [`MemoryHierarchy::reseed`](crate::hierarchy::MemoryHierarchy::reseed),
-//! and the per-event access paths reuse the same [`SetAssocCache`] lean
-//! probes the batched engine uses.  `tests/contention_equivalence.rs`
+//! victim's IL1, DL1 and the shared L2 seeds in the same order as the
+//! solo engine's per-lane reseed, and the per-event access paths apply the
+//! same lean probe semantics the lane banks do.  `tests/contention_equivalence.rs`
 //! pins this bit-identity against `InOrderCore` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
@@ -177,9 +176,9 @@ impl SharedL2Hierarchy {
     ///
     /// The derivation order is task 0's IL1, task 0's DL1, the shared L2,
     /// then the remaining tasks' L1 pairs — so task 0's three cache seeds
-    /// are **exactly** the ones
-    /// [`MemoryHierarchy::reseed`](crate::hierarchy::MemoryHierarchy::reseed)
-    /// would install for the same run seed, whatever the task count.
+    /// are **exactly** the ones the solo engine
+    /// ([`crate::batch::BatchCore`]) installs for the same run seed,
+    /// whatever the task count.
     /// That ordering is what makes a solo victim bit-identical to the
     /// single-task engine.
     pub fn reseed(&mut self, seed: u64) {
@@ -197,10 +196,9 @@ impl SharedL2Hierarchy {
     /// Lean instruction fetch of `task` (statistics go to the caller's
     /// per-task counter block; the L2 half of the counters tracks the
     /// task's *own* L2 traffic, not the shared aggregate).  All three
-    /// access paths delegate to the same
-    /// [`crate::hierarchy`]-level helpers the solo `MemoryHierarchy`
-    /// uses, so the two models cannot drift apart in latency or
-    /// statistics semantics.  `line` is the task's IL1 line of `addr`,
+    /// access paths delegate to the same [`crate::hierarchy`]-level
+    /// helpers, which book latency and statistics exactly as the solo
+    /// lane waves do.  `line` is the task's IL1 line of `addr`,
     /// computed once by the decode/interleave driver and shared across
     /// every placement lane.
     #[inline]

@@ -1,39 +1,37 @@
 //! The in-order core timing model.
 //!
-//! The LEON3 is a single-issue, in-order SPARC V8 core: to first order, the
-//! execution time of a program is the sum of the latencies of its
-//! instruction fetches, data accesses and computation intervals.
-//! [`InOrderCore`] executes any stream of [`MemEvent`]s — a boxed
-//! [`crate::trace::Trace`], a packed [`crate::packed::PackedTrace`] or a
-//! generator-fed iterator — on top of a [`MemoryHierarchy`] and accumulates
-//! exactly that sum.
+//! The LEON3 is a single-issue, in-order SPARC V8 core: to first order, a
+//! program's execution time is the sum of the latencies of its fetches,
+//! data accesses and computation intervals.  [`InOrderCore`] returns that
+//! sum for one run under one placement seed; it is the lane engine
+//! ([`BatchCore`]) at width 1.
 
+use crate::batch::BatchCore;
 use crate::config::PlatformConfig;
-use crate::hierarchy::{HierarchyStats, MemoryHierarchy};
+use crate::hierarchy::HierarchyStats;
 use crate::trace::MemEvent;
 use randmod_core::ConfigError;
 
-/// An in-order, single-issue core executing traces on a memory hierarchy.
+/// An in-order, single-issue core executing one run at a time.
 ///
 /// ```
 /// use randmod_sim::{InOrderCore, PlatformConfig, Trace};
-/// use randmod_sim::trace::MemEvent;
 /// use randmod_core::Address;
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
 /// let mut core = InOrderCore::new(&PlatformConfig::leon3())?;
-/// core.reseed(3);
 /// let mut trace = Trace::new();
 /// trace.fetch(Address::new(0x1000));
 /// trace.compute(2);
-/// let cycles = core.execute(&trace);
+/// let (cycles, stats) = core.execute_isolated(&trace, 3);
 /// assert!(cycles >= 3);
+/// assert_eq!(stats.il1.accesses, 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct InOrderCore {
-    hierarchy: MemoryHierarchy,
+    batch: BatchCore,
 }
 
 impl InOrderCore {
@@ -44,62 +42,21 @@ impl InOrderCore {
     /// Returns [`ConfigError`] if the configuration is invalid.
     pub fn new(config: &PlatformConfig) -> Result<Self, ConfigError> {
         Ok(InOrderCore {
-            hierarchy: MemoryHierarchy::new(config)?,
+            batch: BatchCore::new(config, 1)?,
         })
     }
 
-    /// Installs a new placement seed (and flushes the caches), as done
-    /// before every run of an MBPTA measurement campaign.
-    pub fn reseed(&mut self, seed: u64) {
-        self.hierarchy.reseed(seed);
-    }
-
-    /// Executes an event stream to completion and returns the cycle count.
-    ///
-    /// Accepts anything that iterates [`MemEvent`]s by value: `&Trace`,
-    /// `&PackedTrace`, slices, or a decoding/generating iterator — the
-    /// stream is consumed on the fly, never materialised.
-    ///
-    /// Statistics accumulate across calls; use [`Self::reset_stats`] or
-    /// [`Self::execute_isolated`] for per-run numbers.
-    pub fn execute<I>(&mut self, events: I) -> u64
-    where
-        I: IntoIterator<Item = MemEvent>,
-    {
-        let mut cycles = 0u64;
-        for event in events {
-            cycles += self.hierarchy.access(event);
-        }
-        cycles
-    }
-
-    /// Resets statistics, executes the event stream on cold caches under
-    /// `seed`, and returns the cycle count together with the per-level
-    /// statistics — the "run to completion" unit of analysis the paper
-    /// uses.
+    /// Installs `seed` (flushing every cache), executes the event stream
+    /// to completion, and returns the cycle count with the per-level
+    /// statistics of this run alone — the "run to completion" unit of
+    /// analysis the paper uses.  Any stream of [`MemEvent`]s works
+    /// (`&Trace`, `&PackedTrace`, a generator); it is consumed on the fly.
     pub fn execute_isolated<I>(&mut self, events: I, seed: u64) -> (u64, HierarchyStats)
     where
         I: IntoIterator<Item = MemEvent>,
     {
-        self.reseed(seed);
-        self.reset_stats();
-        let cycles = self.execute(events);
-        (cycles, self.stats())
-    }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.hierarchy.reset_stats();
-    }
-
-    /// Per-level statistics accumulated so far.
-    pub fn stats(&self) -> HierarchyStats {
-        self.hierarchy.stats()
-    }
-
-    /// Access to the underlying hierarchy.
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
+        let mut runs = self.batch.execute_batch(events, &[seed]);
+        runs.pop().expect("a one-seed batch yields one run")
     }
 }
 
@@ -125,7 +82,10 @@ mod tests {
     #[test]
     fn empty_trace_costs_nothing() {
         let mut core = InOrderCore::new(&PlatformConfig::leon3()).unwrap();
-        assert_eq!(core.execute(Trace::new()), 0);
+        assert_eq!(
+            core.execute_isolated(Trace::new(), 0),
+            (0, HierarchyStats::default())
+        );
     }
 
     #[test]
@@ -137,18 +97,20 @@ mod tests {
         trace.load(Address::new(0x9000)); // cold miss -> memory
         trace.load(Address::new(0x9000)); // L1 hit
         trace.compute(5);
-        let cycles = core.execute(&trace);
+        let (cycles, _) = core.execute_isolated(&trace, 0);
         let expected = (lat.l1_hit + lat.l2_hit + lat.memory) as u64 + lat.l1_hit as u64 + 5;
         assert_eq!(cycles, expected);
     }
 
     #[test]
     fn warm_reexecution_is_faster_than_cold() {
+        // The second iteration of a two-iteration trace runs on the caches
+        // the first one warmed.
         let mut core = InOrderCore::new(&PlatformConfig::leon3_deterministic()).unwrap();
-        let trace = loop_trace(1, 256);
-        let cold = core.execute(&trace);
-        let warm = core.execute(&trace);
-        assert!(warm < cold);
+        let (cold, _) = core.execute_isolated(loop_trace(1, 256), 0);
+        let (both, _) = core.execute_isolated(loop_trace(2, 256), 0);
+        let warm = both - cold;
+        assert!(warm < cold, "warm {warm} not below cold {cold}");
     }
 
     #[test]
@@ -196,19 +158,11 @@ mod tests {
         trace.fetch(Address::new(0));
         trace.load(Address::new(0x100));
         trace.store(Address::new(0x200));
-        core.execute(&trace);
-        let stats = core.stats();
+        let (_, stats) = core.execute_isolated(&trace, 0);
         assert_eq!(stats.il1.accesses, 1);
         assert_eq!(stats.dl1.accesses, 2);
         assert_eq!(stats.dl1.stores, 1);
-        core.reset_stats();
-        assert_eq!(core.stats().il1.accesses, 0);
-    }
-
-    #[test]
-    fn hierarchy_accessor_exposes_configuration() {
-        let config = PlatformConfig::leon3();
-        let core = InOrderCore::new(&config).unwrap();
-        assert_eq!(core.hierarchy().config(), &config);
+        // Statistics are per run: a second run does not accumulate.
+        assert_eq!(core.execute_isolated(&trace, 0).1, stats);
     }
 }

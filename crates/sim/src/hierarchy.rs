@@ -1,8 +1,8 @@
 //! The two-level cache hierarchy of one core.
 //!
-//! [`MemoryHierarchy`] models a private instruction L1, a private data L1
-//! and a private L2 partition in front of main memory, and charges the
-//! latency of every access according to where it is served:
+//! Every hierarchy models a private instruction L1, a private data L1 and
+//! an L2 partition in front of main memory, and charges the latency of
+//! every access according to where it is served:
 //!
 //! * L1 hit: `l1_hit` cycles,
 //! * L1 miss / L2 hit: `l1_hit + l2_hit` cycles,
@@ -11,10 +11,12 @@
 //!   write-through update of the L2 contents.
 //!
 //! A seed change re-randomises every cache's placement and flushes all
-//! contents, as the real design does.
+//! contents, as the real design does.  The solo hierarchy is the
+//! lane-banked `LaneHierarchy` behind [`crate::batch::BatchCore`]; the
+//! scalar `read_lean` / `store_lean` paths serve the contended
+//! [`crate::contention::SharedL2Hierarchy`].
 
 use crate::config::{LatencyConfig, PlatformConfig};
-use crate::trace::MemEvent;
 use randmod_core::cache::{AccessKind, SetAssocCache, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
 use randmod_core::{AccessFlags, Address, CacheStats, ConfigError, LineAddr};
@@ -57,9 +59,8 @@ impl HierarchyStats {
 
 /// Compact per-level counter block of one batched replay lane.
 ///
-/// The sequential path read-modify-writes the eight-field [`CacheStats`]
-/// inside every cache on every access.  A batched lane instead accumulates
-/// these few registers-worth of counters (updated with branch-free adds
+/// Rather than read-modify-write the eight-field [`CacheStats`] on every
+/// access, a replay lane accumulates these few registers-worth of counters (updated with branch-free adds
 /// from the [`AccessFlags`]) and flushes them into a full
 /// [`HierarchyStats`] once per run.  Misses are derived (`accesses -
 /// hits`), and per-run flush counts are always zero because
@@ -131,13 +132,11 @@ impl RunCounters {
     }
 }
 
-/// The lean L1→L2→memory read path shared by every hierarchy shape (the
-/// solo [`MemoryHierarchy`] and the contended
-/// [`crate::contention::SharedL2Hierarchy`], which differ only in *which*
-/// L1 pair sits in front of the L2): probes the L1, fills from the L2 on
-/// a miss, charges the level-appropriate latency, and books everything in
-/// the caller's counter block.  One implementation keeps the two models'
-/// latency and statistics semantics identical by construction.
+/// The lean L1→L2→memory read path of the scalar contended
+/// [`crate::contention::SharedL2Hierarchy`] (whichever task's L1 pair
+/// sits in front of the shared L2): probes the L1, fills from the L2 on a
+/// miss, charges the level-appropriate latency, and books everything in
+/// the caller's counter block.
 ///
 /// `l1_line` is the L1 line of `addr`, precomputed by the decode driver
 /// so the reduction is paid once per event rather than once per lane.
@@ -171,7 +170,7 @@ pub(crate) fn read_lean(
     }
 }
 
-/// The lean store path shared by every hierarchy shape (see
+/// The lean store path of the scalar contended hierarchy (see
 /// [`read_lean`]): the write-through DL1 is updated without allocation,
 /// the store is forwarded to the L2, and a missing L2 line is fetched
 /// from memory in the background.
@@ -303,9 +302,10 @@ pub(crate) fn store_lean_wave(
 /// [`SetAssocCacheLanes`] banks stepping up to `K` placement seeds per
 /// decoded event — the wavefront engine behind
 /// [`crate::batch::BatchCore`].  Reseeding derives each lane's three
-/// per-cache seeds exactly as [`MemoryHierarchy::reseed`] does, so lane
-/// `i` of a wave is bit-identical to a scalar hierarchy reseeded with
-/// `seeds[i]`.
+/// per-cache seeds from its placement seed through one [`SplitMix64`]
+/// stream (IL1, DL1, L2, in that order), so the three layouts are not
+/// correlated with one another and lane `i` of a wave is bit-identical to
+/// a lone run under `seeds[i]`.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneHierarchy {
     latencies: LatencyConfig,
@@ -342,8 +342,7 @@ impl LaneHierarchy {
     }
 
     /// Reseeds lanes `0..seeds.len()` and flushes every lane's contents,
-    /// deriving each lane's IL1 / DL1 / L2 seeds in the scalar
-    /// [`MemoryHierarchy::reseed`] order.
+    /// deriving each lane's IL1 / DL1 / L2 seeds in that order.
     ///
     /// # Panics
     ///
@@ -449,194 +448,63 @@ impl fmt::Display for HierarchyStats {
     }
 }
 
-/// One core's memory hierarchy: IL1 + DL1 + L2 partition + memory.
-///
-/// ```
-/// use randmod_sim::{MemoryHierarchy, PlatformConfig};
-/// use randmod_sim::trace::MemEvent;
-/// use randmod_core::Address;
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut hierarchy = MemoryHierarchy::new(&PlatformConfig::leon3())?;
-/// hierarchy.reseed(1);
-/// let cold = hierarchy.access(MemEvent::Load(Address::new(0x1000)));
-/// let warm = hierarchy.access(MemEvent::Load(Address::new(0x1000)));
-/// assert!(cold > warm);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
-    config: PlatformConfig,
-    il1: SetAssocCache,
-    dl1: SetAssocCache,
-    l2: SetAssocCache,
-    memory_accesses: u64,
-}
-
-impl MemoryHierarchy {
-    /// Builds the hierarchy described by `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(config: &PlatformConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCache, ConfigError> {
-            SetAssocCache::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy)
-        };
-        Ok(MemoryHierarchy {
-            config: *config,
-            il1: build(&config.il1)?,
-            dl1: build(&config.dl1)?,
-            l2: build(&config.l2)?,
-            memory_accesses: 0,
-        })
-    }
-
-    /// The configuration this hierarchy was built from.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
-    }
-
-    /// Installs a new placement seed in every cache and flushes all
-    /// contents (the per-run re-randomisation of the MBPTA protocol).
-    pub fn reseed(&mut self, seed: u64) {
-        // Derive independent per-cache seeds so the three layouts are not
-        // correlated with one another.
-        let mut sm = SplitMix64::new(seed);
-        self.il1.reseed(sm.next_u64());
-        self.dl1.reseed(sm.next_u64());
-        self.l2.reseed(sm.next_u64());
-    }
-
-    /// Clears all statistics (contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.il1.reset_stats();
-        self.dl1.reset_stats();
-        self.l2.reset_stats();
-        self.memory_accesses = 0;
-    }
-
-    /// Current per-level statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        HierarchyStats {
-            il1: self.il1.stats(),
-            dl1: self.dl1.stats(),
-            l2: self.l2.stats(),
-            memory_accesses: self.memory_accesses,
-        }
-    }
-
-    /// Performs one trace event and returns its latency in cycles.
-    pub fn access(&mut self, event: MemEvent) -> u64 {
-        let lat = self.config.latencies;
-        match event {
-            MemEvent::Compute(cycles) => cycles as u64,
-            MemEvent::InstrFetch(addr) => {
-                if self.il1.access(addr, AccessKind::InstructionFetch).is_hit() {
-                    lat.l1_hit as u64
-                } else {
-                    self.fill_from_l2(addr, AccessKind::InstructionFetch) + lat.l1_hit as u64
-                }
-            }
-            MemEvent::Load(addr) => {
-                if self.dl1.access(addr, AccessKind::Load).is_hit() {
-                    lat.l1_hit as u64
-                } else {
-                    self.fill_from_l2(addr, AccessKind::Load) + lat.l1_hit as u64
-                }
-            }
-            MemEvent::Store(addr) => {
-                // The DL1 is write-through: the store updates the L1 line if
-                // present (no allocation on a miss) and is forwarded to the
-                // L2 through the store buffer, updating the L2 copy without
-                // stalling the pipeline beyond the store latency.
-                self.dl1.access(addr, AccessKind::Store);
-                let l2_outcome = self.l2.access(addr, AccessKind::Store);
-                if l2_outcome.is_miss() {
-                    // The L2 partition is write-back/write-allocate; a store
-                    // miss fetches the line from memory in the background.
-                    self.memory_accesses += 1;
-                }
-                lat.store as u64
-            }
-        }
-    }
-
-    /// Serves an L1 load/fetch miss from the L2 (or memory) and returns the
-    /// additional latency beyond the L1 lookup.
-    fn fill_from_l2(&mut self, addr: Address, kind: AccessKind) -> u64 {
-        let lat = self.config.latencies;
-        if self.l2.access(addr, kind).is_hit() {
-            lat.l2_hit as u64
-        } else {
-            self.memory_accesses += 1;
-            (lat.l2_hit + lat.memory) as u64
-        }
-    }
-
-    /// Read-only access to the instruction L1 (for inspection in tests and
-    /// analyses).
-    pub fn il1(&self) -> &SetAssocCache {
-        &self.il1
-    }
-
-    /// Read-only access to the data L1.
-    pub fn dl1(&self) -> &SetAssocCache {
-        &self.dl1
-    }
-
-    /// Read-only access to the L2 partition.
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::InOrderCore;
+    use crate::trace::Trace;
     use randmod_core::PlacementKind;
 
-    fn hierarchy(l1_placement: PlacementKind) -> MemoryHierarchy {
-        MemoryHierarchy::new(&PlatformConfig::leon3().with_l1_placement(l1_placement)).unwrap()
+    fn core(l1_placement: PlacementKind) -> (InOrderCore, LatencyConfig) {
+        let config = PlatformConfig::leon3().with_l1_placement(l1_placement);
+        (InOrderCore::new(&config).unwrap(), config.latencies)
+    }
+
+    /// The cycles and statistics of one cold run of `trace` under seed 0.
+    fn run(core: &mut InOrderCore, trace: &Trace) -> (u64, HierarchyStats) {
+        core.execute_isolated(trace, 0)
     }
 
     #[test]
     fn load_latency_depends_on_where_it_is_served() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        let lat = h.config().latencies;
+        let (mut h, lat) = core(PlacementKind::Modulo);
         let addr = Address::new(0x2_0000);
+        let mut trace = Trace::new();
         // Cold: miss in L1 and L2, goes to memory.
-        let cold = h.access(MemEvent::Load(addr));
+        trace.load(addr);
+        let (cold, _) = run(&mut h, &trace);
         assert_eq!(cold, (lat.l1_hit + lat.l2_hit + lat.memory) as u64);
         // Warm: hit in L1.
-        let warm = h.access(MemEvent::Load(addr));
-        assert_eq!(warm, lat.l1_hit as u64);
-        assert_eq!(h.stats().memory_accesses, 1);
+        trace.load(addr);
+        let (both, stats) = run(&mut h, &trace);
+        assert_eq!(both - cold, lat.l1_hit as u64);
+        assert_eq!(stats.memory_accesses, 1);
     }
 
     #[test]
     fn l2_hit_after_l1_eviction_costs_l2_latency() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        let lat = h.config().latencies;
+        let (mut h, lat) = core(PlacementKind::Modulo);
         let target = Address::new(0);
-        h.access(MemEvent::Load(target));
+        let mut trace = Trace::new();
+        trace.load(target);
         // Evict `target` from the 16KB L1 by streaming 32KB of other data,
         // which still fits in the 128KB L2.
         for i in 1..1024u64 {
-            h.access(MemEvent::Load(Address::new(i * 32)));
+            trace.load(Address::new(i * 32));
         }
-        let again = h.access(MemEvent::Load(target));
-        assert_eq!(again, (lat.l1_hit + lat.l2_hit) as u64);
+        let (before, _) = run(&mut h, &trace);
+        trace.load(target);
+        let (after, _) = run(&mut h, &trace);
+        assert_eq!(after - before, (lat.l1_hit + lat.l2_hit) as u64);
     }
 
     #[test]
     fn instruction_fetches_use_the_instruction_cache() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        h.access(MemEvent::InstrFetch(Address::new(0x100)));
-        h.access(MemEvent::InstrFetch(Address::new(0x100)));
-        let stats = h.stats();
+        let (mut h, _) = core(PlacementKind::Modulo);
+        let mut trace = Trace::new();
+        trace.fetch(Address::new(0x100));
+        trace.fetch(Address::new(0x100));
+        let (_, stats) = run(&mut h, &trace);
         assert_eq!(stats.il1.accesses, 2);
         assert_eq!(stats.il1.hits, 1);
         assert_eq!(stats.dl1.accesses, 0);
@@ -644,69 +512,87 @@ mod tests {
 
     #[test]
     fn stores_cost_the_store_latency_and_do_not_allocate_in_l1() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        let lat = h.config().latencies;
+        let (mut h, lat) = core(PlacementKind::Modulo);
         let addr = Address::new(0x5000);
-        assert_eq!(h.access(MemEvent::Store(addr)), lat.store as u64);
+        let mut trace = Trace::new();
+        trace.store(addr);
+        let (store, _) = run(&mut h, &trace);
+        assert_eq!(store, lat.store as u64);
         // The following load must still miss in the DL1 (no write-allocate).
-        let load = h.access(MemEvent::Load(addr));
-        assert!(load > lat.l1_hit as u64);
+        trace.load(addr);
+        let (both, stats) = run(&mut h, &trace);
+        assert!(both - store > lat.l1_hit as u64);
+        assert_eq!(stats.dl1.hits, 0);
     }
 
     #[test]
     fn compute_events_cost_their_cycles() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        assert_eq!(h.access(MemEvent::Compute(17)), 17);
-        assert_eq!(h.stats().il1.accesses, 0);
+        let (mut h, _) = core(PlacementKind::Modulo);
+        let mut trace = Trace::new();
+        trace.compute(17);
+        let (cycles, stats) = run(&mut h, &trace);
+        assert_eq!(cycles, 17);
+        assert_eq!(stats.il1.accesses, 0);
     }
 
     #[test]
     fn reseed_flushes_and_changes_layout() {
-        let mut h = hierarchy(PlacementKind::RandomModulo);
+        let (mut h, lat) = core(PlacementKind::RandomModulo);
         let addr = Address::new(0x1234_0000);
-        h.access(MemEvent::Load(addr));
-        assert!(h.dl1().contains(addr));
-        h.reseed(77);
-        assert!(!h.dl1().contains(addr));
-        assert!(!h.l2().contains(addr));
+        let mut trace = Trace::new();
+        trace.load(addr);
+        h.execute_isolated(&trace, 1);
+        // A new seed starts from empty caches: the same load misses to
+        // memory again.
+        let (cycles, stats) = h.execute_isolated(&trace, 77);
+        assert_eq!(cycles, (lat.l1_hit + lat.l2_hit + lat.memory) as u64);
+        assert_eq!(stats.memory_accesses, 1);
+        // ...and places lines differently: a cache-stressing footprint
+        // does not cost the same under every seed.
+        let mut stress = Trace::new();
+        for _ in 0..4 {
+            for i in 0..640u64 {
+                stress.load(Address::new(0x10_0000 + i * 32));
+            }
+        }
+        let distinct: std::collections::HashSet<u64> = (0..10u64)
+            .map(|seed| h.execute_isolated(&stress, seed).0)
+            .collect();
+        assert!(distinct.len() > 1, "placement never varied across seeds");
     }
 
     #[test]
     fn reset_stats_clears_counts() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        h.access(MemEvent::Load(Address::new(0)));
-        h.reset_stats();
-        let stats = h.stats();
-        assert_eq!(stats.dl1.accesses, 0);
-        assert_eq!(stats.memory_accesses, 0);
+        let (mut h, _) = core(PlacementKind::Modulo);
+        let mut trace = Trace::new();
+        trace.load(Address::new(0));
+        let (_, first) = run(&mut h, &trace);
+        // Every run starts from zeroed counters.
+        let (_, second) = run(&mut h, &trace);
+        assert_eq!(first, second);
+        assert_eq!(second.dl1.accesses, 1);
+        assert_eq!(second.memory_accesses, 1);
     }
 
     #[test]
     fn same_seed_reproduces_identical_behaviour() {
-        let run = |seed: u64| -> u64 {
-            let mut h = hierarchy(PlacementKind::RandomModulo);
-            h.reseed(seed);
-            let mut cycles = 0;
-            for i in 0..5000u64 {
-                cycles += h.access(MemEvent::Load(Address::new((i * 1037) % 65536)));
-            }
-            cycles
-        };
-        assert_eq!(run(123), run(123));
-        // Different seeds generally lead to different cycle counts for a
-        // footprint that stresses the caches.
-        let a = run(1);
-        let b = run(2);
-        // They may coincide by chance, but the stats display should differ
-        // in the common case; accept equality but require both runs valid.
-        assert!(a > 0 && b > 0);
+        let (mut h, _) = core(PlacementKind::RandomModulo);
+        let mut trace = Trace::new();
+        for i in 0..5000u64 {
+            trace.load(Address::new((i * 1037) % 65536));
+        }
+        let a = h.execute_isolated(&trace, 123);
+        let b = h.execute_isolated(&trace, 123);
+        assert_eq!(a, b);
+        assert!(a.0 > 0);
     }
 
     #[test]
     fn stats_display_mentions_each_level() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        h.access(MemEvent::Load(Address::new(0)));
-        let text = h.stats().to_string();
+        let (mut h, _) = core(PlacementKind::Modulo);
+        let mut trace = Trace::new();
+        trace.load(Address::new(0));
+        let text = run(&mut h, &trace).1.to_string();
         assert!(text.contains("IL1"));
         assert!(text.contains("DL1"));
         assert!(text.contains("L2"));
@@ -714,9 +600,10 @@ mod tests {
 
     #[test]
     fn l1_misses_helper_sums_both_l1s() {
-        let mut h = hierarchy(PlacementKind::Modulo);
-        h.access(MemEvent::Load(Address::new(0x1000)));
-        h.access(MemEvent::InstrFetch(Address::new(0x2000)));
-        assert_eq!(h.stats().l1_misses(), 2);
+        let (mut h, _) = core(PlacementKind::Modulo);
+        let mut trace = Trace::new();
+        trace.load(Address::new(0x1000));
+        trace.fetch(Address::new(0x2000));
+        assert_eq!(run(&mut h, &trace).1.l1_misses(), 2);
     }
 }

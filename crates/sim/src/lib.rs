@@ -16,12 +16,12 @@
 //!   an on-the-fly decoding iterator (half the memory of a boxed
 //!   [`Trace`]).
 //! * [`hierarchy`] — the two-level cache hierarchy (IL1 + DL1 + unified L2
-//!   partition + main memory) with per-level statistics.
-//! * [`cpu`] — an in-order single-issue core model that executes a trace on
-//!   top of the hierarchy and accumulates execution cycles.
-//! * [`batch`] — the seed-batched replay engine: decode the trace once and
-//!   step `K` independent seed lanes (hierarchies + cycle counters) per
-//!   event, bit-identical to sequential replay.
+//!   partition + main memory) and its per-level statistics.
+//! * [`batch`] — the replay engine: decode the trace once and step `K`
+//!   independent seed lanes (hierarchies + cycle counters) per event,
+//!   bit-identical to replaying each seed alone.
+//! * [`cpu`] — the in-order single-issue core: one run of a trace under
+//!   one seed (the replay engine at width 1).
 //! * [`contention`] — the multi-task shared-L2 platform: per-task private
 //!   L1 pairs over one shared L2 partition, interleaved by a deterministic
 //!   seeded arbitration policy (round-robin or seeded-random), with a
@@ -51,13 +51,13 @@
 //! # fn main() -> Result<(), randmod_core::ConfigError> {
 //! let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
 //! let mut core = InOrderCore::new(&config)?;
-//! core.reseed(42);
 //!
 //! let mut trace = Trace::new();
 //! trace.push(MemEvent::InstrFetch(Address::new(0x1000)));
 //! trace.push(MemEvent::Load(Address::new(0x8000)));
-//! let cycles = core.execute(&trace);
+//! let (cycles, stats) = core.execute_isolated(&trace, 42);
 //! assert!(cycles > 0);
+//! assert_eq!(stats.l1_misses(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -92,7 +92,7 @@ pub use contention::{
     Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore, SharedL2Hierarchy,
 };
 pub use cpu::InOrderCore;
-pub use hierarchy::{HierarchyStats, MemoryHierarchy};
+pub use hierarchy::HierarchyStats;
 pub use packed::PackedTrace;
 pub use run::{
     decode_solo_runs, encode_solo_runs, AdaptiveResult, Campaign, CampaignError, CampaignResult,

@@ -4,7 +4,6 @@
 use super::schedule::scoped_chunks;
 use super::Campaign;
 use crate::batch::BatchCore;
-use crate::cpu::InOrderCore;
 use crate::hierarchy::HierarchyStats;
 use crate::trace::{EventSource, Trace};
 use randmod_core::ConfigError;
@@ -183,16 +182,21 @@ impl Campaign {
         let config = self.config;
         let indices: Vec<usize> = (0..layouts).collect();
         let runs = scoped_chunks(&indices, self.threads, |chunk| {
-            let mut core = InOrderCore::new(&config)?;
+            // Every layout is a different trace under the one (seed 0)
+            // placement, so there are no seeds to batch: the lane engine
+            // runs at width 1 and streams each trace once, without
+            // materialising its collapsed schedule.
+            let mut core = BatchCore::new(&config, 1)?;
             let mut out = Vec::with_capacity(chunk.len());
             for &index in chunk {
                 let layout_trace = build(index);
-                let (cycles, stats) = core.execute_isolated(layout_trace.events(), 0);
-                out.push(RunResult {
-                    seed: index as u64,
-                    cycles,
-                    stats,
-                });
+                for (cycles, stats) in core.execute_batch(layout_trace.events(), &[0]) {
+                    out.push(RunResult {
+                        seed: index as u64,
+                        cycles,
+                        stats,
+                    });
+                }
             }
             Ok(out)
         })?;

@@ -152,13 +152,13 @@ impl Campaign {
     /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
     /// because each contended lane carries a full co-schedule's cache
     /// state and wider groups thrash the host cache (see
-    /// `run::contended`).  `with_lanes(1)` is the sequential
-    /// escape hatch: solo runs use one hierarchy per decode pass, and
-    /// contended runs select the scalar per-seed
+    /// `run::contended`).  With `with_lanes(1)`, solo runs use the lane
+    /// engine at width 1 (one seed per decode pass), and contended runs
+    /// take the sequential escape hatch: the scalar per-seed
     /// [`crate::contention::ContentionCore`] instead of the lane-batched
-    /// engine (no panic, no silent batching) — kept as the comparison
-    /// baseline of the `campaign_throughput` and `contention_throughput`
-    /// benchmarks.
+    /// engine (no panic, no silent batching).  Both are kept as the
+    /// comparison baselines of the `campaign_throughput` and
+    /// `contention_throughput` benchmarks.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self

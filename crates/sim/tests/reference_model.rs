@@ -13,8 +13,9 @@
 //! semantics, the same latency charging.
 //!
 //! The proptests assert cycle- and stats-equality of the reference against
-//! both production engines — the sequential `InOrderCore` and the batched
-//! `BatchCore` — across arbitrary traces × all four placements ×
+//! the solo lane engine at every width — `InOrderCore` (width 1),
+//! `BatchCore` and the campaign paths, including the deterministic layout
+//! sweep — across arbitrary traces × all four placements ×
 //! {LRU, Random} replacement × {write-through, write-back} L1s.  Any
 //! future engine optimisation that changes an observable number fails
 //! here first.
@@ -174,7 +175,7 @@ impl RefCache {
     }
 }
 
-/// A naive two-level hierarchy mirroring `MemoryHierarchy`'s latency and
+/// A naive two-level hierarchy mirroring the solo hierarchy's latency and
 /// routing specification.
 struct RefHierarchy {
     config: PlatformConfig,
@@ -198,7 +199,8 @@ impl RefHierarchy {
         }
     }
 
-    /// Mirrors `MemoryHierarchy::reseed`'s per-cache seed derivation.
+    /// Mirrors the solo engine's per-cache seed derivation: IL1, DL1 and L2
+    /// seeds drawn in that order from one SplitMix64 stream.
     fn reseed(&mut self, seed: u64) {
         let mut sm = SplitMix64::new(seed);
         self.il1.reseed(sm.next_u64());
@@ -485,6 +487,21 @@ fn cases() -> u32 {
         .unwrap_or(20)
 }
 
+/// `trace` with every address moved `offset` bytes up — the same program
+/// loaded at another place in memory, as a layout sweep sees it.
+fn shifted(trace: &Trace, offset: u64) -> Trace {
+    let shift = |addr: Address| Address::new(addr.raw() + offset);
+    trace
+        .into_iter()
+        .map(|event| match event {
+            MemEvent::InstrFetch(addr) => MemEvent::InstrFetch(shift(addr)),
+            MemEvent::Load(addr) => MemEvent::Load(shift(addr)),
+            MemEvent::Store(addr) => MemEvent::Store(shift(addr)),
+            MemEvent::Compute(cycles) => MemEvent::Compute(cycles),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
@@ -534,6 +551,31 @@ proptest! {
             for (run, &batched_result) in swept.runs().iter().zip(&batched) {
                 prop_assert_eq!((run.cycles, run.stats), batched_result);
             }
+        }
+    }
+
+    /// The deterministic layout sweep of Figure 4(b) — one trace per
+    /// layout, all under placement seed 0 — reproduces the reference run
+    /// of every layout, over arbitrary traces shifted by arbitrary byte
+    /// offsets (so lines, sets and same-line runs move between layouts).
+    #[test]
+    fn layout_sweep_matches_the_reference_model(
+        events in prop::collection::vec(event_strategy(), 1..350),
+        offsets in prop::collection::vec(0u64..0x2_0000, 1..6),
+        threads in 1usize..3,
+    ) {
+        let config = PlatformConfig::leon3_deterministic();
+        let trace = expand(&events);
+        let layouts: Vec<Trace> = offsets.iter().map(|&offset| shifted(&trace, offset)).collect();
+        let swept = Campaign::new(config, 0)
+            .with_threads(threads)
+            .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+            .unwrap();
+        prop_assert_eq!(swept.len(), layouts.len());
+        let mut reference = RefHierarchy::new(config);
+        for (index, (run, layout)) in swept.runs().iter().zip(&layouts).enumerate() {
+            prop_assert_eq!(run.seed, index as u64);
+            prop_assert_eq!((run.cycles, run.stats), reference.execute_isolated(layout, 0));
         }
     }
 
