@@ -2,22 +2,15 @@
 //!
 //! Replays the `fig6_contention` victim (the 20KB synthetic kernel)
 //! co-scheduled against the stress opponent ladder through
-//! [`Campaign::run_contended`], on one worker thread, in three engine
-//! configurations per pressure level:
+//! [`Campaign::run_contended`], on one worker thread, once per
+//! arbitration policy per pressure level.  Both policies run the scalar
+//! per-seed `ContentionCore`, the one contended engine.
 //!
-//! * `round-robin/batched` — the default lane count, i.e. the
-//!   lane-batched [`BatchContentionCore`] path (one interleave per
-//!   campaign, replayed across placement-seed lanes);
-//! * `round-robin/scalar` — `with_lanes(1)`, the sequential per-seed
-//!   [`ContentionCore`] escape hatch (the pre-lane-batching record);
-//! * `seeded-random` — the seed-dependent schedule, always scalar.
-//!
-//! Before timing anything the bench asserts two equivalence gates, so it
-//! doubles as the CI smoke check of the contention engine's defining
-//! invariants: a contended campaign with an idle opponent must reproduce
-//! `run_seeds` bit-for-bit (on the batched *and* the scalar engine), and
-//! the batched round-robin path must reproduce the scalar per-seed
-//! engine bit-for-bit on a real co-schedule.
+//! Before timing anything the bench asserts two gates, so it doubles as
+//! the CI smoke check of the contended campaign's defining invariants: a
+//! contended campaign with an idle opponent must reproduce `run_seeds`
+//! bit-for-bit, and on a real co-schedule one and two campaign threads
+//! must give identical `ContendedResult`s.
 //!
 //! In bench mode it prints a `throughput:` line per configuration in
 //! events/second (total interleaved events across all tasks).
@@ -71,8 +64,7 @@ fn contention_throughput(c: &mut Criterion) {
             .with_arbitration(arbitration)
     };
 
-    // Solo-equivalence gate: an idle co-schedule is the solo protocol —
-    // on the batched engine (default lanes) and the scalar escape hatch.
+    // Solo-equivalence gate: an idle co-schedule is the solo protocol.
     let victim = SyntheticKernel::fits_l2();
     let solo_sources: Vec<PackedTrace> =
         CoSchedule::pressure_level(victim, 0).packed_traces(&MemoryLayout::default());
@@ -81,44 +73,34 @@ fn contention_throughput(c: &mut Criterion) {
         .run_seeds(&solo_sources[0], gate_seeds)
         .expect("valid platform");
     for arbitration in Arbitration::ALL {
-        for lanes in [None, Some(1)] {
-            let mut solo_campaign = campaign(arbitration);
-            if let Some(lanes) = lanes {
-                solo_campaign = solo_campaign.with_lanes(lanes);
-            }
-            let contended = solo_campaign
-                .run_contended(&solo_sources, gate_seeds)
-                .expect("valid platform");
-            assert_eq!(
-                contended.victim_result(),
-                reference,
-                "solo contended campaign diverged from run_seeds under {arbitration} (lanes {lanes:?})"
-            );
-        }
+        let contended = campaign(arbitration)
+            .run_contended(&solo_sources, gate_seeds)
+            .expect("valid platform");
+        assert_eq!(
+            contended.victim_result(),
+            reference,
+            "solo contended campaign diverged from run_seeds under {arbitration}"
+        );
     }
 
-    // Batched-vs-scalar gate: on a real co-schedule, the lane-batched
-    // round-robin engine must reproduce the scalar per-seed engine
-    // bit-for-bit.
+    // Thread-invariance gate: on a real co-schedule, splitting the seeds
+    // over two workers must not change a single per-task result.
     let gate_sources: Vec<PackedTrace> =
         CoSchedule::pressure_level(victim, 2).packed_traces(&MemoryLayout::default());
-    let batched = campaign(Arbitration::RoundRobin)
-        .run_contended(&gate_sources, gate_seeds)
-        .expect("valid platform");
-    let scalar = campaign(Arbitration::RoundRobin)
-        .with_lanes(1)
-        .run_contended(&gate_sources, gate_seeds)
-        .expect("valid platform");
-    assert_eq!(
-        batched, scalar,
-        "lane-batched round-robin campaign diverged from the scalar per-seed engine"
-    );
+    for arbitration in Arbitration::ALL {
+        let one = campaign(arbitration)
+            .run_contended(&gate_sources, gate_seeds)
+            .expect("valid platform");
+        let two = campaign(arbitration)
+            .with_threads(2)
+            .run_contended(&gate_sources, gate_seeds)
+            .expect("valid platform");
+        assert_eq!(
+            one, two,
+            "contended campaign changed with the thread count under {arbitration}"
+        );
+    }
 
-    let configurations: [(&str, Arbitration, Option<usize>); 3] = [
-        ("round-robin/batched", Arbitration::RoundRobin, None),
-        ("round-robin/scalar", Arbitration::RoundRobin, Some(1)),
-        ("seeded-random", Arbitration::SeededRandom, None),
-    ];
     let mut group = c.benchmark_group("contention_throughput");
     group.sample_size(10);
     for pressure in [2usize, 3] {
@@ -126,36 +108,33 @@ fn contention_throughput(c: &mut Criterion) {
             CoSchedule::pressure_level(victim, pressure).packed_traces(&MemoryLayout::default());
         let events: u64 = sources.iter().map(|t| t.len() as u64).sum();
         group.throughput(Throughput::Elements(events * runs as u64));
-        for (label, arbitration, lanes) in configurations {
-            let build = || {
-                let mut c = campaign(arbitration);
-                if let Some(lanes) = lanes {
-                    c = c.with_lanes(lanes);
-                }
-                c
-            };
+        for arbitration in Arbitration::ALL {
             if bench_mode() {
                 let start = Instant::now();
                 black_box(
-                    build().run_contended(&sources, &seed_list).expect("valid platform"),
+                    campaign(arbitration)
+                        .run_contended(&sources, &seed_list)
+                        .expect("valid platform"),
                 );
                 let elapsed = start.elapsed().as_secs_f64();
                 println!(
                     "throughput: contended/P{}/{} {:.3e} events/sec ({} runs x {} events)",
                     pressure,
-                    label,
+                    arbitration,
                     (events * runs as u64) as f64 / elapsed,
                     runs,
                     events
                 );
             }
             group.bench_with_input(
-                BenchmarkId::new(format!("P{pressure}"), label),
+                BenchmarkId::new(format!("P{pressure}"), arbitration),
                 &sources,
                 |b, sources| {
                     b.iter(|| {
                         black_box(
-                            build().run_contended(sources, &seed_list).expect("valid platform"),
+                            campaign(arbitration)
+                                .run_contended(sources, &seed_list)
+                                .expect("valid platform"),
                         )
                     })
                 },

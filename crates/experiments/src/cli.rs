@@ -17,7 +17,8 @@ pub struct ExperimentOptions {
     pub threads: Option<usize>,
     /// Seed-lane override for the batched replay engine (`--lanes N`);
     /// `None` keeps [`randmod_sim::Campaign::DEFAULT_LANES`].  `--lanes 1`
-    /// forces the sequential (one hierarchy per trace decode) path.
+    /// steps one seed per trace decode.  Solo campaigns only: contended
+    /// campaigns run one seed at a time whatever the lane count.
     pub lanes: Option<usize>,
     /// Adaptive mode (`--adaptive`): grow each campaign until the pWCET
     /// estimate converges instead of executing a fixed run count.

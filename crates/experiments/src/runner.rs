@@ -627,8 +627,8 @@ mod tests {
 
     #[test]
     fn lane_override_does_not_change_the_sample() {
-        // --lanes is a throughput knob: any lane count (including the
-        // sequential escape hatch) reproduces the same sample.
+        // --lanes is a throughput knob: any lane count (including width
+        // 1) reproduces the same sample.
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
         let default_lanes =
             measure(&kernel, PlacementKind::RandomModulo, 10, 2, None, None).unwrap();
@@ -714,9 +714,9 @@ mod tests {
     #[test]
     fn contended_lane_override_does_not_change_the_sample() {
         use randmod_workloads::CoSchedule;
-        // --lanes on a contended campaign switches between the scalar
-        // engine (1), partial batches and full lane groups; every setting
-        // must reproduce the same per-task samples bit for bit.
+        // --lanes is a solo knob: a contended campaign runs the same
+        // per-seed engine at every setting, so each one must reproduce
+        // the same per-task samples bit for bit.
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         let schedule = CoSchedule::pressure_level(kernel, 2);
         let measure_with = |lanes: Option<usize>| {

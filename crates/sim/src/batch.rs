@@ -184,9 +184,8 @@ impl BatchCore {
 }
 
 /// The solo engine's lane fan-out: every collapsed operation becomes one
-/// wave through the lane-banked hierarchy (task indices are always 0 on
-/// this path).  Collapsed repeats — each a guaranteed L1 hit — are booked
-/// inside the wave helpers.
+/// wave through the lane-banked hierarchy.  Collapsed repeats — each a
+/// guaranteed L1 hit — are booked inside the wave helpers.
 struct SoloLanes<'a> {
     hierarchy: &'a mut LaneHierarchy,
     cycles: &'a mut [u64],
@@ -195,22 +194,22 @@ struct SoloLanes<'a> {
 
 impl LaneStepper for SoloLanes<'_> {
     #[inline]
-    fn fetch(&mut self, _task: usize, addr: Address, line: LineAddr, repeats: u64) {
+    fn fetch(&mut self, addr: Address, line: LineAddr, repeats: u64) {
         self.hierarchy.fetch_wave(addr, line, repeats, self.cycles, self.counters);
     }
 
     #[inline]
-    fn load(&mut self, _task: usize, addr: Address, line: LineAddr, repeats: u64) {
+    fn load(&mut self, addr: Address, line: LineAddr, repeats: u64) {
         self.hierarchy.load_wave(addr, line, repeats, self.cycles, self.counters);
     }
 
     #[inline]
-    fn store(&mut self, _task: usize, addr: Address, line: LineAddr) {
+    fn store(&mut self, addr: Address, line: LineAddr) {
         self.hierarchy.store_wave(addr, line, self.cycles, self.counters);
     }
 
     #[inline]
-    fn compute(&mut self, _task: usize, cycles: u64) {
+    fn compute(&mut self, cycles: u64) {
         for lane in self.cycles.iter_mut() {
             *lane += cycles;
         }

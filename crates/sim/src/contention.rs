@@ -30,16 +30,14 @@
 //! state — extra victim misses caused by opponent fills.  The
 //! interleaving granularity is one trace event per arbitration step.
 //!
-//! **The lane-batched path.**  Because a round-robin schedule never
-//! consults the placement seed, the interleaved (and run-collapsed) event
-//! stream is *the same* for every run of a campaign.
-//! [`ContendedSchedule::round_robin`] computes it once;
-//! [`BatchContentionCore`] then replays it across `K` placement-seed
-//! lanes per pass, exactly as [`crate::batch::BatchCore`] does for solo
-//! campaigns — and bit-identical to running [`ContentionCore`] once per
-//! seed (pinned by unit tests here, the differential reference model and
-//! the batch-equivalence proptests).  Seeded-random arbitration depends
-//! on the run seed and stays on the scalar per-seed engine.
+//! **One engine, one seed per run.**  [`ContentionCore`] is the only
+//! contended engine: [`crate::run::Campaign::run_contended`] runs it once
+//! per placement seed under either arbitration policy, whatever the
+//! campaign's lane count (an idle co-schedule takes the solo
+//! [`crate::batch::BatchCore`] path instead).  It is not lane-batched
+//! because a contended lane carries per-task L1 pairs plus a shared L2,
+//! and on that state size lanes did not pay for their machinery
+//! (EXPERIMENTS.md, "One contended engine").
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
 //! (empty-trace) opponents reproduces the single-task engine exactly:
@@ -50,12 +48,11 @@
 //! pins this bit-identity against `InOrderCore` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
-use crate::hierarchy::{read_lean_wave, store_lean_wave, HierarchyStats, RunCounters};
-use crate::lanes::{interleave_round_robin, replay_ops, LaneStepper, Op};
+use crate::hierarchy::{read_lean, store_lean, HierarchyStats, RunCounters};
 use crate::trace::MemEvent;
-use randmod_core::cache::{AccessKind, SetAssocCache, SetAssocCacheLanes};
+use randmod_core::cache::{AccessKind, SetAssocCache};
 use randmod_core::prng::SplitMix64;
-use randmod_core::{AccessFlags, Address, ConfigError, LineAddr};
+use randmod_core::{ConfigError, LineAddr};
 use std::fmt;
 use std::str::FromStr;
 
@@ -127,6 +124,10 @@ pub struct SharedL2Hierarchy {
     config: PlatformConfig,
     tasks: Vec<TaskL1>,
     l2: SetAssocCache,
+    /// Offset bits of the IL1 / DL1 geometry, for the per-event line
+    /// reduction of the lean access paths.
+    il1_shift: u32,
+    dl1_shift: u32,
 }
 
 impl SharedL2Hierarchy {
@@ -153,6 +154,8 @@ impl SharedL2Hierarchy {
             config: *config,
             tasks,
             l2: build(&config.l2)?,
+            il1_shift: config.il1.geometry.offset_bits(),
+            dl1_shift: config.dl1.geometry.offset_bits(),
         })
     }
 
@@ -183,82 +186,64 @@ impl SharedL2Hierarchy {
     /// single-task engine.
     pub fn reseed(&mut self, seed: u64) {
         let mut sm = SplitMix64::new(seed);
-        let (first, rest) = self.tasks.split_first_mut().expect("at least one task");
-        first.il1.reseed(sm.next_u64());
-        first.dl1.reseed(sm.next_u64());
+        let mut tasks = self.tasks.iter_mut();
+        if let Some(first) = tasks.next() {
+            first.il1.reseed(sm.next_u64());
+            first.dl1.reseed(sm.next_u64());
+        }
         self.l2.reseed(sm.next_u64());
-        for task in rest {
+        for task in tasks {
             task.il1.reseed(sm.next_u64());
             task.dl1.reseed(sm.next_u64());
         }
     }
 
-    /// Lean instruction fetch of `task` (statistics go to the caller's
-    /// per-task counter block; the L2 half of the counters tracks the
-    /// task's *own* L2 traffic, not the shared aggregate).  All three
-    /// access paths delegate to the same [`crate::hierarchy`]-level
-    /// helpers, which book latency and statistics exactly as the solo
-    /// lane waves do.  `line` is the task's IL1 line of `addr`,
-    /// computed once by the decode/interleave driver and shared across
-    /// every placement lane.
+    /// Replays one event of `task` and returns its latency in cycles.
+    /// Accesses go through the task's private L1 and the shared L2 on the
+    /// lean [`crate::hierarchy`] paths, which book latency and statistics
+    /// exactly as the solo lane waves do.  Statistics go to the caller's
+    /// per-task counter block: its L2 half tracks the task's *own* L2
+    /// traffic, not the shared aggregate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is not below [`Self::task_count`].
     #[inline]
-    pub(crate) fn fetch_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::read_lean(
-            &mut self.tasks[task].il1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            AccessKind::InstructionFetch,
-            counters,
-        )
-    }
-
-    /// Lean data load of `task` (see [`Self::fetch_lean`]); `line` is the
-    /// task's DL1 line of `addr`.
-    #[inline]
-    pub(crate) fn load_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::read_lean(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            AccessKind::Load,
-            counters,
-        )
-    }
-
-    /// Lean data store of `task` (see [`Self::fetch_lean`]); `line` is the
-    /// task's DL1 line of `addr`.
-    #[inline]
-    pub(crate) fn store_lean(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        counters: &mut RunCounters,
-    ) -> u64 {
-        crate::hierarchy::store_lean(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.config.latencies,
-            addr,
-            line,
-            counters,
-        )
+    pub(crate) fn step(&mut self, task: usize, event: MemEvent, counters: &mut RunCounters) -> u64 {
+        // randmod: allow(P1, the documented Panics contract: the only caller, ContentionCore::execute_contended, passes a task index below task_count())
+        let l1 = &mut self.tasks[task];
+        let latencies = &self.config.latencies;
+        match event {
+            MemEvent::Compute(cycles) => cycles as u64,
+            MemEvent::InstrFetch(addr) => {
+                let line = LineAddr::new(addr.raw() >> self.il1_shift);
+                read_lean(
+                    &mut l1.il1,
+                    &mut self.l2,
+                    latencies,
+                    addr,
+                    line,
+                    AccessKind::InstructionFetch,
+                    counters,
+                )
+            }
+            MemEvent::Load(addr) => {
+                let line = LineAddr::new(addr.raw() >> self.dl1_shift);
+                read_lean(
+                    &mut l1.dl1,
+                    &mut self.l2,
+                    latencies,
+                    addr,
+                    line,
+                    AccessKind::Load,
+                    counters,
+                )
+            }
+            MemEvent::Store(addr) => {
+                let line = LineAddr::new(addr.raw() >> self.dl1_shift);
+                store_lean(&mut l1.dl1, &mut self.l2, latencies, addr, line, counters)
+            }
+        }
     }
 }
 
@@ -289,10 +274,6 @@ impl SharedL2Hierarchy {
 pub struct ContentionCore {
     hierarchy: SharedL2Hierarchy,
     arbitration: Arbitration,
-    /// Offset bits of the IL1 / DL1 geometry, for the per-event line
-    /// reduction of the lean access paths.
-    il1_shift: u32,
-    dl1_shift: u32,
 }
 
 impl ContentionCore {
@@ -310,8 +291,6 @@ impl ContentionCore {
         Ok(ContentionCore {
             hierarchy: SharedL2Hierarchy::new(config, tasks)?,
             arbitration,
-            il1_shift: config.il1.geometry.offset_bits(),
-            dl1_shift: config.dl1.geometry.offset_bits(),
         })
     }
 
@@ -332,6 +311,8 @@ impl ContentionCore {
     ///
     /// Streams beyond the configured task count are ignored; missing
     /// streams behave as idle tasks.
+    // randmod: allow(P1, streams, pending, cycles and counters each hold exactly `tasks` entries (streams is clipped and padded to it), the round-robin cursor is reduced mod `tasks` on every step, and the seeded-random scan stops on the pick-th ready task with pick < ready, so every index is below `tasks`; the expect runs on the task the arbitration just found ready)
+    #[allow(clippy::expect_used)]
     pub fn execute_contended<I>(&mut self, streams: Vec<I>, seed: u64) -> Vec<(u64, HierarchyStats)>
     where
         I: Iterator<Item = MemEvent>,
@@ -377,21 +358,7 @@ impl ContentionCore {
                 }
             };
             let event = pending[task].take().expect("arbitration picked a ready task");
-            cycles[task] += match event {
-                MemEvent::Compute(c) => c as u64,
-                MemEvent::InstrFetch(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.il1_shift);
-                    self.hierarchy.fetch_lean(task, addr, line, &mut counters[task])
-                }
-                MemEvent::Load(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                    self.hierarchy.load_lean(task, addr, line, &mut counters[task])
-                }
-                MemEvent::Store(addr) => {
-                    let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                    self.hierarchy.store_lean(task, addr, line, &mut counters[task])
-                }
-            };
+            cycles[task] += self.hierarchy.step(task, event, &mut counters[task]);
             pending[task] = streams[task].as_mut().and_then(Iterator::next);
             if pending[task].is_none() {
                 ready -= 1;
@@ -405,413 +372,11 @@ impl ContentionCore {
     }
 }
 
-/// A precomputed, collapsed round-robin interleaving of one co-schedule.
-///
-/// Under round-robin arbitration the merged event stream is a pure
-/// function of the task traces: the cursor visits ready tasks in index
-/// order and the placement seed never enters an arbitration decision.  A
-/// campaign therefore interleaves (and run-collapses) the co-schedule
-/// **once**, shares the schedule read-only across its worker threads, and
-/// replays it under every placement seed with
-/// [`BatchContentionCore::execute_schedule`].  Seeded-random arbitration
-/// draws its schedule from the run seed and has no such invariant — it
-/// stays on the scalar [`ContentionCore`].
-#[derive(Debug, Clone)]
-pub struct ContendedSchedule {
-    ops: Vec<Op>,
-    tasks: usize,
-}
-
-impl ContendedSchedule {
-    /// Interleaves `streams` under round-robin arbitration for a
-    /// `tasks`-task platform described by `config`, collapsing per-task
-    /// same-line read runs at interleave time.  `tasks` is clamped to at
-    /// least one; streams beyond `tasks` are ignored and missing streams
-    /// behave as idle tasks, mirroring
-    /// [`ContentionCore::execute_contended`].
-    pub fn round_robin<I>(config: &PlatformConfig, tasks: usize, streams: Vec<I>) -> Self
-    where
-        I: Iterator<Item = MemEvent>,
-    {
-        let tasks = tasks.max(1);
-        ContendedSchedule {
-            ops: interleave_round_robin(
-                streams,
-                tasks,
-                config.il1.geometry.offset_bits(),
-                config.dl1.geometry.offset_bits(),
-            ),
-            tasks,
-        }
-    }
-
-    /// Number of tasks the schedule interleaves.
-    pub fn task_count(&self) -> usize {
-        self.tasks
-    }
-
-    /// Number of collapsed operations in the schedule.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the schedule holds no operations (every task idle).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// One task's private lane-banked first-level caches.
-#[derive(Debug, Clone)]
-struct TaskL1Lanes {
-    il1: SetAssocCacheLanes,
-    dl1: SetAssocCacheLanes,
-}
-
-/// The lane-banked shared-L2 hierarchy: per-task IL1/DL1
-/// [`SetAssocCacheLanes`] pairs in front of one lane-banked shared L2,
-/// stepping up to `K` placement seeds per collapsed schedule operation —
-/// the wavefront engine behind [`BatchContentionCore`].  The seed →
-/// per-cache-seed derivation of [`Self::reseed_wave`] draws in the exact
-/// [`SharedL2Hierarchy::reseed`] order per lane, so lane `i` is
-/// bit-identical to a scalar shared-L2 hierarchy reseeded with
-/// `seeds[i]`.
-#[derive(Debug, Clone)]
-struct SharedL2LaneHierarchy {
-    latencies: crate::config::LatencyConfig,
-    tasks: Vec<TaskL1Lanes>,
-    l2: SetAssocCacheLanes,
-    /// Per-wave outcome scratch, truncated to the active lane count.
-    flags: Vec<AccessFlags>,
-    active: usize,
-}
-
-impl SharedL2LaneHierarchy {
-    fn new(config: &PlatformConfig, tasks: usize, lanes: usize) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let lanes = lanes.max(1);
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
-            SetAssocCacheLanes::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy, lanes)
-        };
-        let tasks = (0..tasks.max(1))
-            .map(|_| {
-                Ok(TaskL1Lanes {
-                    il1: build(&config.il1)?,
-                    dl1: build(&config.dl1)?,
-                })
-            })
-            .collect::<Result<Vec<_>, ConfigError>>()?;
-        Ok(SharedL2LaneHierarchy {
-            latencies: config.latencies,
-            tasks,
-            l2: build(&config.l2)?,
-            flags: vec![AccessFlags::default(); lanes],
-            active: 0,
-        })
-    }
-
-    fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn lane_count(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Reseeds lanes `0..seeds.len()` and flushes every lane's contents.
-    /// Per lane, the per-cache seeds are drawn in the
-    /// [`SharedL2Hierarchy::reseed`] order: task 0's IL1, task 0's DL1,
-    /// the shared L2, then the remaining tasks' L1 pairs.
-    fn reseed_wave(&mut self, seeds: &[u64]) {
-        self.active = seeds.len();
-        let mut streams: Vec<SplitMix64> = seeds.iter().map(|&s| SplitMix64::new(s)).collect();
-        let draw = |streams: &mut [SplitMix64]| -> Vec<u64> {
-            streams.iter_mut().map(SplitMix64::next_u64).collect()
-        };
-        let (first, rest) = self.tasks.split_first_mut().expect("at least one task");
-        first.il1.reseed_wave(&draw(&mut streams));
-        first.dl1.reseed_wave(&draw(&mut streams));
-        self.l2.reseed_wave(&draw(&mut streams));
-        for task in rest {
-            task.il1.reseed_wave(&draw(&mut streams));
-            task.dl1.reseed_wave(&draw(&mut streams));
-        }
-    }
-
-    /// One instruction fetch of `task` across all active lanes (plus
-    /// `repeats` collapsed repeat fetches); see
-    /// [`crate::hierarchy::read_lean_wave`].
-    #[inline]
-    fn fetch_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        read_lean_wave(
-            &mut self.tasks[task].il1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            AccessKind::InstructionFetch,
-            repeats,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-
-    /// One data load of `task` across all active lanes (plus `repeats`
-    /// collapsed repeat loads); see [`crate::hierarchy::read_lean_wave`].
-    #[inline]
-    fn load_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        repeats: u64,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        read_lean_wave(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            AccessKind::Load,
-            repeats,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-
-    /// One data store of `task` across all active lanes; see
-    /// [`crate::hierarchy::store_lean_wave`].
-    #[inline]
-    fn store_wave(
-        &mut self,
-        task: usize,
-        addr: Address,
-        line: LineAddr,
-        cycles: &mut [u64],
-        counters: &mut [RunCounters],
-    ) {
-        store_lean_wave(
-            &mut self.tasks[task].dl1,
-            &mut self.l2,
-            &self.latencies,
-            addr,
-            line,
-            &mut self.flags[..self.active],
-            cycles,
-            counters,
-        );
-    }
-}
-
-/// The lane-batched contended engine: replays one precomputed
-/// [`ContendedSchedule`] across up to `K` placement-seed lanes per pass —
-/// the contended counterpart of [`crate::batch::BatchCore`], driven by
-/// the same `crate::lanes` machinery.
-///
-/// ```
-/// use randmod_sim::contention::{
-///     Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore,
-/// };
-/// use randmod_sim::{PlatformConfig, Trace};
-/// use randmod_core::Address;
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let config = PlatformConfig::leon3();
-/// let mut victim = Trace::new();
-/// let mut opponent = Trace::new();
-/// for i in 0..256u64 {
-///     victim.load(Address::new(0x1000 + i * 32));
-///     opponent.load(Address::new(0x8_0000 + (i % 64) * 32));
-/// }
-///
-/// // One interleave, four placement seeds replayed.
-/// let schedule = ContendedSchedule::round_robin(
-///     &config,
-///     2,
-///     vec![victim.iter().copied(), opponent.iter().copied()],
-/// );
-/// let mut batch = BatchContentionCore::new(&config, 2, 4)?;
-/// let results = batch.execute_schedule(&schedule, &[1, 2, 3, 4]);
-///
-/// // Bit-identical to the scalar per-seed engine.
-/// let mut scalar = ContentionCore::new(&config, 2, Arbitration::RoundRobin)?;
-/// for (&seed, runs) in [1u64, 2, 3, 4].iter().zip(&results) {
-///     let reference = scalar
-///         .execute_contended(vec![victim.iter().copied(), opponent.iter().copied()], seed);
-///     assert_eq!(runs, &reference);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchContentionCore {
-    hierarchy: SharedL2LaneHierarchy,
-    /// Per-task, per-lane cycle counters and statistics blocks, laid out
-    /// task-major: entry `task * lane_capacity + lane`.
-    cycles: Vec<u64>,
-    counters: Vec<RunCounters>,
-}
-
-impl BatchContentionCore {
-    /// Builds a batched contended core with `lanes` placement-seed lanes
-    /// for `tasks` tasks (both clamped to at least one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the configuration is invalid.
-    pub fn new(config: &PlatformConfig, tasks: usize, lanes: usize) -> Result<Self, ConfigError> {
-        let hierarchy = SharedL2LaneHierarchy::new(config, tasks, lanes)?;
-        let slots = hierarchy.task_count() * hierarchy.lane_count();
-        Ok(BatchContentionCore {
-            hierarchy,
-            cycles: vec![0; slots],
-            counters: vec![RunCounters::default(); slots],
-        })
-    }
-
-    /// Number of placement-seed lanes.
-    pub fn lane_count(&self) -> usize {
-        self.hierarchy.lane_count()
-    }
-
-    /// Number of tasks each lane interleaves.
-    pub fn task_count(&self) -> usize {
-        self.hierarchy.task_count()
-    }
-
-    /// Replays `schedule` once, simulating one contended run per seed in
-    /// `seeds` (cold caches, fresh placement layout per lane — exactly
-    /// what [`ContentionCore::execute_contended`] does per seed).
-    /// Returns, per seed in seed order, `(cycles, stats)` per task in
-    /// task order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` holds more seeds than there are lanes, or if the
-    /// schedule was built for a different task count.
-    pub fn execute_schedule(
-        &mut self,
-        schedule: &ContendedSchedule,
-        seeds: &[u64],
-    ) -> Vec<Vec<(u64, HierarchyStats)>> {
-        assert!(
-            seeds.len() <= self.lane_count(),
-            "{} seeds exceed the {} configured lanes",
-            seeds.len(),
-            self.lane_count()
-        );
-        assert_eq!(
-            schedule.task_count(),
-            self.task_count(),
-            "schedule interleaves a different task count than this core"
-        );
-        let active = seeds.len();
-        let capacity = self.lane_count();
-        self.hierarchy.reseed_wave(seeds);
-        self.cycles.fill(0);
-        self.counters.fill(RunCounters::default());
-        let mut stepper = ContendedLanes {
-            hierarchy: &mut self.hierarchy,
-            cycles: &mut self.cycles,
-            counters: &mut self.counters,
-            capacity,
-            active,
-        };
-        replay_ops(&schedule.ops, &mut stepper);
-        (0..active)
-            .map(|lane| {
-                (0..self.task_count())
-                    .map(|task| {
-                        let slot = task * capacity + lane;
-                        (self.cycles[slot], self.counters[slot].into_stats())
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// The contended engine's lane fan-out: every collapsed operation of the
-/// shared schedule becomes one wave through the issuing task's lane-banked
-/// L1 pair (and the shared lane-banked L2), booked against the task's
-/// per-lane cycle and statistics slices.  Collapsed repeats — each a
-/// guaranteed private-L1 hit (an opponent can never evict the line a
-/// task's repeat read is about to hit) — are booked inside the wave
-/// helpers.
-struct ContendedLanes<'a> {
-    hierarchy: &'a mut SharedL2LaneHierarchy,
-    /// Task-major per-lane slots (see [`BatchContentionCore`]).
-    cycles: &'a mut [u64],
-    counters: &'a mut [RunCounters],
-    capacity: usize,
-    active: usize,
-}
-
-impl LaneStepper for ContendedLanes<'_> {
-    #[inline]
-    fn fetch(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.fetch_wave(
-            task,
-            addr,
-            line,
-            repeats,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn load(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.load_wave(
-            task,
-            addr,
-            line,
-            repeats,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn store(&mut self, task: usize, addr: Address, line: LineAddr) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        self.hierarchy.store_wave(
-            task,
-            addr,
-            line,
-            &mut self.cycles[slots.clone()],
-            &mut self.counters[slots],
-        );
-    }
-
-    #[inline]
-    fn compute(&mut self, task: usize, cycles: u64) {
-        let slots = task * self.capacity..task * self.capacity + self.active;
-        for lane in &mut self.cycles[slots] {
-            *lane += cycles;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::Trace;
-    use randmod_core::PlacementKind;
+    use randmod_core::{Address, PlacementKind};
 
     fn config() -> PlatformConfig {
         PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo)
@@ -950,6 +515,9 @@ mod tests {
         assert_eq!(padded, missing);
         assert_eq!(missing[1], (0, HierarchyStats::default()));
         assert_eq!(missing[2], (0, HierarchyStats::default()));
+        // With no stream at all every task is idle: an empty run per task.
+        let idle = core.execute_contended(Vec::<std::vec::IntoIter<MemEvent>>::new(), 13);
+        assert_eq!(idle, vec![(0, HierarchyStats::default()); 3]);
     }
 
     #[test]
@@ -963,79 +531,6 @@ mod tests {
         let solo = core.execute_contended(vec![trace.into_iter()], 3);
         assert_eq!(clipped, solo);
         assert_eq!(clipped.len(), 1);
-    }
-
-    #[test]
-    fn batched_contended_replay_matches_scalar_per_seed() {
-        let seeds = [0u64, 1, 7, 42, 0xDEAD_BEEF];
-        for placement in PlacementKind::ALL {
-            let config = PlatformConfig::leon3().with_l1_placement(placement);
-            let streams = [victim_trace(), opponent_trace(), opponent_trace()];
-            let schedule = ContendedSchedule::round_robin(
-                &config,
-                3,
-                streams.iter().map(|t| t.iter().copied()).collect(),
-            );
-            let mut batch = BatchContentionCore::new(&config, 3, seeds.len()).unwrap();
-            let batched = batch.execute_schedule(&schedule, &seeds);
-            let mut scalar = ContentionCore::new(&config, 3, Arbitration::RoundRobin).unwrap();
-            for (&seed, runs) in seeds.iter().zip(&batched) {
-                let reference = scalar
-                    .execute_contended(streams.iter().map(|t| t.iter().copied()).collect(), seed);
-                assert_eq!(runs, &reference, "lane diverged for seed {seed} under {placement}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_contended_partial_batches_use_a_lane_prefix() {
-        let config = config();
-        let schedule = ContendedSchedule::round_robin(
-            &config,
-            2,
-            vec![victim_trace().into_iter(), opponent_trace().into_iter()],
-        );
-        let mut batch = BatchContentionCore::new(&config, 2, 8).unwrap();
-        assert_eq!(batch.lane_count(), 8);
-        assert_eq!(batch.task_count(), 2);
-        let results = batch.execute_schedule(&schedule, &[1, 2]);
-        assert_eq!(results.len(), 2);
-        // A later, different-sized batch reuses the lanes cleanly.
-        let again = batch.execute_schedule(&schedule, &[1]);
-        assert_eq!(again[0], results[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed the")]
-    fn batched_contended_too_many_seeds_panic() {
-        let config = config();
-        let schedule =
-            ContendedSchedule::round_robin(&config, 2, vec![victim_trace().into_iter()]);
-        let mut batch = BatchContentionCore::new(&config, 2, 2).unwrap();
-        batch.execute_schedule(&schedule, &[1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different task count")]
-    fn batched_contended_task_count_mismatch_panics() {
-        let config = config();
-        let schedule =
-            ContendedSchedule::round_robin(&config, 3, vec![victim_trace().into_iter()]);
-        let mut batch = BatchContentionCore::new(&config, 2, 2).unwrap();
-        batch.execute_schedule(&schedule, &[1]);
-    }
-
-    #[test]
-    fn empty_schedule_is_an_idle_run() {
-        let config = config();
-        let schedule =
-            ContendedSchedule::round_robin(&config, 2, Vec::<std::vec::IntoIter<MemEvent>>::new());
-        assert!(schedule.is_empty());
-        assert_eq!(schedule.len(), 0);
-        let mut batch = BatchContentionCore::new(&config, 2, 1).unwrap();
-        let results = batch.execute_schedule(&schedule, &[9]);
-        assert_eq!(results[0][0], (0, HierarchyStats::default()));
-        assert_eq!(results[0][1], (0, HierarchyStats::default()));
     }
 
     #[test]

@@ -138,8 +138,7 @@ impl RunCounters {
 /// miss, charges the level-appropriate latency, and books everything in
 /// the caller's counter block.
 ///
-/// `l1_line` is the L1 line of `addr`, precomputed by the decode driver
-/// so the reduction is paid once per event rather than once per lane.
+/// `l1_line` is the L1 line of `addr`, precomputed by the caller.
 #[inline]
 pub(crate) fn read_lean(
     l1: &mut SetAssocCache,

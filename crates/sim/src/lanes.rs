@@ -1,13 +1,9 @@
-//! The unified lane-batched execution machinery.
+//! The lane-batched replay machinery of the solo engine.
 //!
-//! Both measurement engines — the solo seed sweep ([`crate::batch::BatchCore`])
-//! and the contended shared-L2 sweep
-//! ([`crate::contention::BatchContentionCore`]) — replay one immutable
-//! program under many placement seeds.  The machinery that makes that fast
-//! is identical in both and lives here, in one place:
+//! [`crate::batch::BatchCore`] replays one immutable program under many
+//! placement seeds.  The machinery that makes that fast lives here:
 //!
-//! * **Same-line run collapsing** ([`replay_collapsed`] for the streaming
-//!   solo path, [`interleave_round_robin`] for the contended one): runs of
+//! * **Same-line run collapsing** ([`replay_collapsed`]): runs of
 //!   consecutive reads of one cache line — the dominant pattern of
 //!   straight-line instruction fetch and sequential data traversal — are
 //!   detected once at decode time.  The first access runs in full per
@@ -17,25 +13,19 @@
 //!   and a no-op otherwise, and reads never dirty a line), so each lane
 //!   just books `repeats` hits and cycles.
 //! * **Lane fan-out through one interface** ([`LaneStepper`]): the decode
-//!   drivers emit each collapsed operation exactly once, and the engines
-//!   implement the per-lane stepping (K hierarchies, K cycle counters,
+//!   loop emits each collapsed operation exactly once, and the engine
+//!   implements the per-lane stepping (K hierarchies, K cycle counters,
 //!   per-lane [`crate::hierarchy::RunCounters`]) behind the trait.  The
 //!   line address of the fronting L1 is computed once per operation and
 //!   shared across all lanes.
+//! * **Decode once per worker** ([`collapse_solo`], [`replay_ops`]): a
+//!   campaign records the collapsed operations of its trace once, as an
+//!   [`Op`] schedule, and replays that schedule for every lane group
+//!   instead of decoding the trace again.
 //!
-//! The contended path adds one idea on top: under round-robin arbitration
-//! the interleaved event stream is a pure function of the task traces —
-//! the placement seed never enters an arbitration decision — so the
-//! decode + interleave can be computed **once per campaign**
-//! ([`interleave_round_robin`] produces the collapsed [`Op`] schedule) and
-//! replayed across K placement-seed lanes ([`replay_ops`]).  Collapsing
-//! stays sound across task switches because each task's L1s are private:
-//! an opponent's event can never evict the line a victim's repeat read is
-//! about to hit, so a per-task run survives any interleaving (the swallowed
-//! repeats touch no shared state, which is also why deleting them from the
-//! merged schedule preserves every shared-L2 transition bit-for-bit).
-//! Seeded-random arbitration has no such seed-independence — its schedule
-//! is drawn from the run seed — so it keeps the scalar per-seed engine.
+//! Contended campaigns do not use this module: the scalar
+//! [`crate::contention::ContentionCore`] steps one placement seed per
+//! event, with no collapsing.
 
 use crate::trace::MemEvent;
 use randmod_core::{Address, LineAddr};
@@ -44,27 +34,25 @@ use randmod_core::{Address, LineAddr};
 ///
 /// Implementations own the lanes (hierarchies, cycle counters, statistics
 /// blocks) and fan each collapsed operation out across them; the drivers
-/// guarantee each operation is emitted exactly once, in program (solo) or
-/// arbitration (contended) order, with the fronting L1's line address
-/// precomputed.  `repeats` counts the *extra* same-line reads collapsed
-/// into the operation (0 for a lone access); each one is a guaranteed L1
-/// hit costing the L1-hit latency.
+/// guarantee each operation is emitted exactly once, in program order,
+/// with the fronting L1's line address precomputed.  `repeats` counts the
+/// *extra* same-line reads collapsed into the operation (0 for a lone
+/// access); each one is a guaranteed L1 hit costing the L1-hit latency.
 pub(crate) trait LaneStepper {
-    /// One instruction fetch by `task`, plus `repeats` collapsed same-line
-    /// repeat fetches.
-    fn fetch(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64);
-    /// One data load by `task`, plus `repeats` collapsed same-line repeat
-    /// loads.
-    fn load(&mut self, task: usize, addr: Address, line: LineAddr, repeats: u64);
-    /// One data store by `task` (stores never collapse).
-    fn store(&mut self, task: usize, addr: Address, line: LineAddr);
-    /// A computation interval of `task`.
-    fn compute(&mut self, task: usize, cycles: u64);
+    /// One instruction fetch, plus `repeats` collapsed same-line repeat
+    /// fetches.
+    fn fetch(&mut self, addr: Address, line: LineAddr, repeats: u64);
+    /// One data load, plus `repeats` collapsed same-line repeat loads.
+    fn load(&mut self, addr: Address, line: LineAddr, repeats: u64);
+    /// One data store (stores never collapse).
+    fn store(&mut self, addr: Address, line: LineAddr);
+    /// A computation interval.
+    fn compute(&mut self, cycles: u64);
 }
 
-/// Streams `events` through `stepper` as task 0, collapsing same-line read
-/// runs at decode time — the solo replay driver.  The trace is decoded
-/// exactly once however many lanes the stepper fans out to.
+/// Streams `events` through `stepper`, collapsing same-line read runs at
+/// decode time — the solo replay loop.  The trace is decoded exactly
+/// once however many lanes the stepper fans out to.
 pub(crate) fn replay_collapsed<I>(
     events: I,
     il1_shift: u32,
@@ -88,7 +76,7 @@ pub(crate) fn replay_collapsed<I>(
                     repeats += 1;
                     pending = iter.next();
                 }
-                stepper.fetch(0, addr, LineAddr::new(line), repeats);
+                stepper.fetch(addr, LineAddr::new(line), repeats);
             }
             MemEvent::Load(addr) => {
                 let line = addr.raw() >> dl1_shift;
@@ -100,25 +88,23 @@ pub(crate) fn replay_collapsed<I>(
                     repeats += 1;
                     pending = iter.next();
                 }
-                stepper.load(0, addr, LineAddr::new(line), repeats);
+                stepper.load(addr, LineAddr::new(line), repeats);
             }
             MemEvent::Store(addr) => {
-                stepper.store(0, addr, LineAddr::new(addr.raw() >> dl1_shift));
+                stepper.store(addr, LineAddr::new(addr.raw() >> dl1_shift));
             }
-            MemEvent::Compute(cycles) => stepper.compute(0, cycles as u64),
+            MemEvent::Compute(cycles) => stepper.compute(cycles as u64),
         }
     }
 }
 
-/// One collapsed operation of a precomputed interleaved schedule: which
-/// task issues it, the address, the fronting L1's line address, and how
-/// many same-line repeat reads were collapsed into it.
+/// One collapsed operation of a recorded schedule: the address, the
+/// fronting L1's line address, and how many same-line repeat reads were
+/// collapsed into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     /// An instruction fetch plus `repeats` collapsed repeat fetches.
     Fetch {
-        /// Issuing task.
-        task: u32,
         /// Accessed address.
         addr: Address,
         /// The IL1 line of `addr`.
@@ -128,8 +114,6 @@ pub(crate) enum Op {
     },
     /// A data load plus `repeats` collapsed repeat loads.
     Load {
-        /// Issuing task.
-        task: u32,
         /// Accessed address.
         addr: Address,
         /// The DL1 line of `addr`.
@@ -139,8 +123,6 @@ pub(crate) enum Op {
     },
     /// A data store (never collapsed).
     Store {
-        /// Issuing task.
-        task: u32,
         /// Accessed address.
         addr: Address,
         /// The DL1 line of `addr`.
@@ -148,151 +130,70 @@ pub(crate) enum Op {
     },
     /// A computation interval.
     Compute {
-        /// Issuing task.
-        task: u32,
         /// Cycle cost.
         cycles: u64,
     },
 }
 
-/// Interleaves the task streams under round-robin arbitration and
-/// collapses per-task same-line read runs, producing the seed-independent
-/// [`Op`] schedule the batched contended engine replays across placement
-/// lanes.
-///
-/// The arbitration semantics mirror
-/// [`crate::contention::ContentionCore`] exactly: tasks take turns in
-/// index order, skipping exhausted traces; streams beyond `tasks` are
-/// ignored and missing streams behave as idle tasks.  A task's read run
-/// stays open across other tasks' turns (their events cannot touch its
-/// private L1) and is closed by any non-matching event of its own.
-// randmod: allow(P1, every vector in this arena — streams, pending, open — is resized to exactly `tasks` before the loop, the cursor is reduced mod `tasks` on every step so task < tasks always, ops indices come from ops.len() at push time, and the take() runs only after the inner scan stopped on a Some; the whole schedule is pinned against the scalar engine by the contended equivalence proptests)
-#[allow(clippy::expect_used)]
-pub(crate) fn interleave_round_robin<I>(
-    streams: Vec<I>,
-    tasks: usize,
-    il1_shift: u32,
-    dl1_shift: u32,
-) -> Vec<Op>
-where
-    I: Iterator<Item = MemEvent>,
-{
-    /// An open same-line read run of one task: the index of its op in the
-    /// schedule, whether it is a fetch run (else a load run), and the line.
-    type OpenRun = (usize, bool, u64);
+/// The stepper behind [`collapse_solo`]: records every collapsed
+/// operation [`replay_collapsed`] drives, in order.
+struct OpRecorder(Vec<Op>);
 
-    let mut streams: Vec<Option<I>> = streams.into_iter().map(Some).take(tasks).collect();
-    streams.resize_with(tasks, || None);
-    let mut pending: Vec<Option<MemEvent>> = streams
-        .iter_mut()
-        .map(|s| s.as_mut().and_then(Iterator::next))
-        .collect();
-    let mut ready = pending.iter().filter(|p| p.is_some()).count();
-    let mut open: Vec<Option<OpenRun>> = vec![None; tasks];
-    let mut ops: Vec<Op> = Vec::new();
-    let mut cursor = 0usize;
-    while ready > 0 {
-        while pending[cursor].is_none() {
-            cursor = (cursor + 1) % tasks;
-        }
-        let task = cursor;
-        cursor = (cursor + 1) % tasks;
-        let event = pending[task].take().expect("cursor stopped on a ready task");
-        match event {
-            MemEvent::InstrFetch(addr) => {
-                let line = addr.raw() >> il1_shift;
-                match open[task] {
-                    Some((index, true, open_line)) if open_line == line => {
-                        if let Op::Fetch { repeats, .. } = &mut ops[index] {
-                            *repeats += 1;
-                        }
-                    }
-                    _ => {
-                        open[task] = Some((ops.len(), true, line));
-                        ops.push(Op::Fetch {
-                            task: task as u32,
-                            addr,
-                            line: LineAddr::new(line),
-                            repeats: 0,
-                        });
-                    }
-                }
-            }
-            MemEvent::Load(addr) => {
-                let line = addr.raw() >> dl1_shift;
-                match open[task] {
-                    Some((index, false, open_line)) if open_line == line => {
-                        if let Op::Load { repeats, .. } = &mut ops[index] {
-                            *repeats += 1;
-                        }
-                    }
-                    _ => {
-                        open[task] = Some((ops.len(), false, line));
-                        ops.push(Op::Load {
-                            task: task as u32,
-                            addr,
-                            line: LineAddr::new(line),
-                            repeats: 0,
-                        });
-                    }
-                }
-            }
-            MemEvent::Store(addr) => {
-                open[task] = None;
-                ops.push(Op::Store {
-                    task: task as u32,
-                    addr,
-                    line: LineAddr::new(addr.raw() >> dl1_shift),
-                });
-            }
-            MemEvent::Compute(cycles) => {
-                open[task] = None;
-                ops.push(Op::Compute {
-                    task: task as u32,
-                    cycles: cycles as u64,
-                });
-            }
-        }
-        pending[task] = streams[task].as_mut().and_then(Iterator::next);
-        if pending[task].is_none() {
-            ready -= 1;
-        }
+impl LaneStepper for OpRecorder {
+    fn fetch(&mut self, addr: Address, line: LineAddr, repeats: u64) {
+        self.0.push(Op::Fetch {
+            addr,
+            line,
+            repeats,
+        });
     }
-    ops
+
+    fn load(&mut self, addr: Address, line: LineAddr, repeats: u64) {
+        self.0.push(Op::Load {
+            addr,
+            line,
+            repeats,
+        });
+    }
+
+    fn store(&mut self, addr: Address, line: LineAddr) {
+        self.0.push(Op::Store { addr, line });
+    }
+
+    fn compute(&mut self, cycles: u64) {
+        self.0.push(Op::Compute { cycles });
+    }
 }
 
-/// Collapses one solo event stream into the [`Op`] schedule that
+/// Collapses one event stream into the [`Op`] schedule that
 /// [`replay_collapsed`] would drive, so a campaign can decode the trace
-/// once per worker and replay the schedule across every lane group
-/// (single-task interleaving degenerates to plain run collapsing).
+/// once per worker and replay the schedule across every lane group.
 pub(crate) fn collapse_solo<I>(events: I, il1_shift: u32, dl1_shift: u32) -> Vec<Op>
 where
     I: IntoIterator<Item = MemEvent>,
 {
-    interleave_round_robin(vec![events.into_iter()], 1, il1_shift, dl1_shift)
+    let mut recorder = OpRecorder(Vec::new());
+    replay_collapsed(events, il1_shift, dl1_shift, &mut recorder);
+    recorder.0
 }
 
-/// Replays a precomputed collapsed schedule through `stepper` — the
-/// contended counterpart of [`replay_collapsed`], amortising the
-/// decode + interleave across every placement-seed lane group of a
-/// campaign.
+/// Replays a schedule recorded by [`collapse_solo`] through `stepper`:
+/// the same operations [`replay_collapsed`] steps, with no decode.
 pub(crate) fn replay_ops(ops: &[Op], stepper: &mut impl LaneStepper) {
     for &op in ops {
         match op {
             Op::Fetch {
-                task,
                 addr,
                 line,
                 repeats,
-            } => stepper.fetch(task as usize, addr, line, repeats),
+            } => stepper.fetch(addr, line, repeats),
             Op::Load {
-                task,
                 addr,
                 line,
                 repeats,
-            } => stepper.load(task as usize, addr, line, repeats),
-            Op::Store { task, addr, line } => stepper.store(task as usize, addr, line),
-            Op::Compute { task, cycles } => stepper.compute(task as usize, cycles),
+            } => stepper.load(addr, line, repeats),
+            Op::Store { addr, line } => stepper.store(addr, line),
+            Op::Compute { cycles } => stepper.compute(cycles),
         }
     }
 }
@@ -305,21 +206,21 @@ mod tests {
     /// Records every stepped operation, for asserting driver semantics.
     #[derive(Default)]
     struct Recorder {
-        steps: Vec<(usize, char, u64, u64)>,
+        steps: Vec<(char, u64, u64)>,
     }
 
     impl LaneStepper for Recorder {
-        fn fetch(&mut self, task: usize, addr: Address, _line: LineAddr, repeats: u64) {
-            self.steps.push((task, 'F', addr.raw(), repeats));
+        fn fetch(&mut self, addr: Address, _line: LineAddr, repeats: u64) {
+            self.steps.push(('F', addr.raw(), repeats));
         }
-        fn load(&mut self, task: usize, addr: Address, _line: LineAddr, repeats: u64) {
-            self.steps.push((task, 'L', addr.raw(), repeats));
+        fn load(&mut self, addr: Address, _line: LineAddr, repeats: u64) {
+            self.steps.push(('L', addr.raw(), repeats));
         }
-        fn store(&mut self, task: usize, addr: Address, _line: LineAddr) {
-            self.steps.push((task, 'S', addr.raw(), 0));
+        fn store(&mut self, addr: Address, _line: LineAddr) {
+            self.steps.push(('S', addr.raw(), 0));
         }
-        fn compute(&mut self, task: usize, cycles: u64) {
-            self.steps.push((task, 'C', cycles, 0));
+        fn compute(&mut self, cycles: u64) {
+            self.steps.push(('C', cycles, 0));
         }
     }
 
@@ -341,130 +242,67 @@ mod tests {
         assert_eq!(
             recorder.steps,
             vec![
-                (0, 'F', 0x1000, 2),
-                (0, 'L', 0x2000, 1),
-                (0, 'L', 0x2020, 0),
-                (0, 'S', 0x3000, 0),
-                (0, 'C', 7, 0),
+                ('F', 0x1000, 2),
+                ('L', 0x2000, 1),
+                ('L', 0x2020, 0),
+                ('S', 0x3000, 0),
+                ('C', 7, 0),
             ]
         );
     }
 
     #[test]
-    fn interleave_preserves_round_robin_order_and_collapses_per_task() {
-        let mut victim = Trace::new();
-        victim.load(Address::new(0x1000));
-        victim.load(Address::new(0x1010)); // same line: collapses
-        victim.store(Address::new(0x5000));
-        let mut opponent = Trace::new();
-        opponent.load(Address::new(0x9000));
-        opponent.load(Address::new(0xA000));
-        let ops = interleave_round_robin(
-            vec![victim.into_iter(), opponent.into_iter()],
-            2,
-            5,
-            5,
-        );
-        // Scalar turn order: v.load v.load(repeat) v.store interleaved with
-        // o.load o.load; the repeat merges into the first victim op, the
-        // opponents' relative order against the victim's store survives.
-        assert_eq!(
-            ops,
-            vec![
-                Op::Load {
-                    task: 0,
-                    addr: Address::new(0x1000),
-                    line: LineAddr::new(0x80),
-                    repeats: 1
-                },
-                Op::Load {
-                    task: 1,
-                    addr: Address::new(0x9000),
-                    line: LineAddr::new(0x480),
-                    repeats: 0
-                },
-                Op::Load {
-                    task: 1,
-                    addr: Address::new(0xA000),
-                    line: LineAddr::new(0x500),
-                    repeats: 0
-                },
-                Op::Store {
-                    task: 0,
-                    addr: Address::new(0x5000),
-                    line: LineAddr::new(0x280)
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn interleave_runs_stay_open_across_other_tasks_turns() {
-        // Task 0 reads the same line twice with task 1 active in between:
-        // the run must still collapse (task 1 cannot touch task 0's L1).
-        let mut a = Trace::new();
-        a.load(Address::new(0x1000));
-        a.load(Address::new(0x1004));
-        a.load(Address::new(0x1008));
-        let mut b = Trace::new();
-        b.store(Address::new(0x9000));
-        b.store(Address::new(0x9020));
-        let ops = interleave_round_robin(vec![a.into_iter(), b.into_iter()], 2, 5, 5);
-        let collapsed: Vec<&Op> = ops
-            .iter()
-            .filter(|op| matches!(op, Op::Load { task: 0, .. }))
-            .collect();
-        assert_eq!(collapsed.len(), 1, "task 0's run did not collapse: {ops:?}");
-        assert!(matches!(collapsed[0], Op::Load { repeats: 2, .. }));
-    }
-
-    #[test]
-    fn interleave_closes_a_run_on_the_tasks_own_intervening_event() {
-        // A store by the same task breaks its read run (it may change the
-        // DL1 state the repeat relies on).
-        let mut a = Trace::new();
-        a.load(Address::new(0x1000));
-        a.store(Address::new(0x1000));
-        a.load(Address::new(0x1004));
-        let ops = interleave_round_robin(vec![a.into_iter()], 1, 5, 5);
-        assert_eq!(ops.len(), 3, "{ops:?}");
-        assert!(matches!(ops[0], Op::Load { repeats: 0, .. }));
-        assert!(matches!(ops[2], Op::Load { repeats: 0, .. }));
-    }
-
-    #[test]
-    fn interleave_pads_missing_streams_and_clips_extra_ones() {
+    fn collapsed_schedule_replays_exactly_what_the_streaming_replay_steps() {
         let mut trace = Trace::new();
-        trace.load(Address::new(0x1000));
-        let mut extra = Trace::new();
-        extra.load(Address::new(0x2000));
-        // Missing stream: task 1 is idle.
-        let padded = interleave_round_robin(vec![trace.clone().into_iter()], 2, 5, 5);
-        assert_eq!(padded.len(), 1);
-        // Extra stream beyond the task count: ignored.
-        let clipped = interleave_round_robin(
-            vec![trace.into_iter(), extra.into_iter()],
-            1,
-            5,
-            5,
-        );
-        assert_eq!(clipped.len(), 1);
-        assert!(matches!(clipped[0], Op::Load { task: 0, .. }));
+        for i in 0..40u64 {
+            // A four-fetch run that crosses into the next line every
+            // other iteration.
+            for k in 0..4u64 {
+                trace.fetch(Address::new(0x1000 + i * 16 + k * 4));
+            }
+            // A load run crossing a line, then a store and a repeat load
+            // of the same line (the store closes the run).
+            trace.load(Address::new(0x2000 + i * 16));
+            trace.load(Address::new(0x2000 + i * 16 + 8));
+            trace.load(Address::new(0x2000 + i * 16 + 24));
+            if i % 3 == 0 {
+                trace.store(Address::new(0x2000 + i * 16));
+                trace.load(Address::new(0x2000 + i * 16 + 4));
+            }
+            if i % 5 == 0 {
+                trace.compute(i as u32 + 1);
+            }
+        }
+        let mut streamed = Recorder::default();
+        replay_collapsed(&trace, 5, 5, &mut streamed);
+        let mut replayed = Recorder::default();
+        replay_ops(&collapse_solo(&trace, 5, 5), &mut replayed);
+        assert_eq!(replayed.steps, streamed.steps);
+        // The trace really exercises collapsing, stores and computes.
+        assert!(streamed
+            .steps
+            .iter()
+            .any(|&(kind, _, repeats)| kind == 'F' && repeats > 0));
+        assert!(streamed
+            .steps
+            .iter()
+            .any(|&(kind, _, repeats)| kind == 'L' && repeats > 0));
+        assert!(streamed.steps.iter().any(|&(kind, _, _)| kind == 'S'));
+        assert!(streamed.steps.iter().any(|&(kind, _, _)| kind == 'C'));
     }
 
     #[test]
     fn replay_ops_steps_every_op_in_schedule_order() {
         let ops = vec![
             Op::Fetch {
-                task: 1,
                 addr: Address::new(0x40),
                 line: LineAddr::new(2),
                 repeats: 3,
             },
-            Op::Compute { task: 0, cycles: 9 },
+            Op::Compute { cycles: 9 },
         ];
         let mut recorder = Recorder::default();
         replay_ops(&ops, &mut recorder);
-        assert_eq!(recorder.steps, vec![(1, 'F', 0x40, 3), (0, 'C', 9, 0)]);
+        assert_eq!(recorder.steps, vec![('F', 0x40, 3), ('C', 9, 0)]);
     }
 }

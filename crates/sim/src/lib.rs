@@ -24,9 +24,8 @@
 //!   one seed (the replay engine at width 1).
 //! * [`contention`] — the multi-task shared-L2 platform: per-task private
 //!   L1 pairs over one shared L2 partition, interleaved by a deterministic
-//!   seeded arbitration policy (round-robin or seeded-random), with a
-//!   lane-batched engine that interleaves a round-robin co-schedule once
-//!   and replays it across `K` placement seeds.
+//!   seeded arbitration policy (round-robin or seeded-random), one
+//!   placement seed per run.
 //! * [`run`] — measurement campaigns: run a program repeatedly with a fresh
 //!   placement seed per run (the MBPTA protocol, batched across seeds by
 //!   default), adaptively grow the campaign until the pWCET estimate
@@ -69,6 +68,7 @@ pub mod batch;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod checkpoint;
 pub mod config;
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod contention;
 pub mod cpu;
 pub mod hierarchy;
@@ -88,9 +88,7 @@ pub use checkpoint::{
     MemoryCheckpointStore,
 };
 pub use config::{CacheConfig, LatencyConfig, PlatformConfig};
-pub use contention::{
-    Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore, SharedL2Hierarchy,
-};
+pub use contention::{Arbitration, ContentionCore, SharedL2Hierarchy};
 pub use cpu::InOrderCore;
 pub use hierarchy::HierarchyStats;
 pub use packed::PackedTrace;

@@ -1,26 +1,21 @@
 //! The contended (multi-task, shared-L2) campaign protocol and its result
 //! types.
 //!
-//! Three engines back [`Campaign::run_contended`], picked per campaign:
+//! Two engines back [`Campaign::run_contended`], picked per campaign:
 //!
 //! * **idle co-schedule** → the victim routes through the solo
 //!   [`crate::batch::BatchCore`] pool (bit-identical to
 //!   [`Campaign::run_seeds`], at its throughput);
-//! * **round-robin, `lanes > 1`** → the lane-batched
-//!   [`BatchContentionCore`]: the interleaved schedule is seed-independent,
-//!   so it is computed once per campaign and replayed across
-//!   placement-seed lanes, shared read-only across worker threads;
-//! * **seeded-random, or `with_lanes(1)`** → the scalar per-seed
-//!   [`ContentionCore`] (a seeded-random schedule depends on the run seed;
-//!   one lane is the documented sequential escape hatch).
+//! * **everything else** → the scalar [`ContentionCore`], once per seed,
+//!   under either arbitration policy and whatever the lane count.
 //!
-//! All three produce bit-identical [`ContendedResult`]s where their
-//! domains overlap — pinned by the `contention_equivalence` suite, the
+//! Both produce bit-identical [`ContendedResult`]s where their domains
+//! overlap — pinned by the `contention_equivalence` suite, the
 //! differential reference model and the unit grid tests.
 
 use super::schedule::scoped_chunks;
 use super::{Campaign, CampaignResult, RunResult};
-use crate::contention::{Arbitration, BatchContentionCore, ContendedSchedule, ContentionCore};
+use crate::contention::ContentionCore;
 use crate::hierarchy::HierarchyStats;
 use crate::trace::EventSource;
 use randmod_core::ConfigError;
@@ -153,9 +148,9 @@ impl Campaign {
     /// seed executes one run of `sources[0]` (the victim) co-scheduled
     /// against `sources[1..]` (the opponents) on a
     /// [`crate::contention::SharedL2Hierarchy`], under this campaign's
-    /// [`Arbitration`] policy.  Runs are distributed over the same worker
-    /// thread pool as [`Self::run_seeds`]; each run is a pure function of
-    /// its seed, so results are thread-invariant.
+    /// [`crate::contention::Arbitration`] policy.  Runs are distributed
+    /// over the same worker thread pool as [`Self::run_seeds`]; each run is
+    /// a pure function of its seed, so results are thread-invariant.
     ///
     /// **Solo fast path**: when every opponent trace is empty (an idle
     /// co-schedule), the victim's runs route through the seed-batched
@@ -164,17 +159,9 @@ impl Campaign {
     /// *bit-identical* to the single-task protocol (and enjoys its
     /// throughput).
     ///
-    /// **Batched round-robin path**: under round-robin arbitration the
-    /// interleaved co-schedule never depends on the placement seed, so it
-    /// is computed once per campaign ([`ContendedSchedule::round_robin`])
-    /// and replayed across placement-seed lanes — at most
-    /// [`Self::CONTENDED_LANE_GROUP`] per schedule pass, the measured
-    /// host-cache sweet spot — by a [`BatchContentionCore`],
-    /// bit-identical to the scalar per-seed engine, at a fraction of its
-    /// decode and interleave cost.
-    /// Seeded-random arbitration (whose schedule is drawn from the run
-    /// seed) and `with_lanes(1)` (the documented sequential escape hatch)
-    /// run the scalar [`ContentionCore`] per seed instead.
+    /// Every other co-schedule runs the scalar [`ContentionCore`] once per
+    /// seed, under either arbitration policy; the campaign's lane count
+    /// does not change the engine or the result.
     ///
     /// # Errors
     ///
@@ -255,41 +242,6 @@ impl Campaign {
             ));
         }
         let config = self.config;
-        let lanes = self.lanes;
-        if self.arbitration == Arbitration::RoundRobin && lanes > 1 {
-            // The round-robin schedule is a pure function of the traces:
-            // interleave (and run-collapse) once, then replay it across
-            // placement-seed lanes, shared read-only across the workers.
-            let schedule = ContendedSchedule::round_robin(
-                &config,
-                tasks,
-                sources.iter().map(|s| s.events()).collect(),
-            );
-            let schedule = &schedule;
-            // The lane knob is an upper bound here: a contended lane holds a
-            // full co-schedule's cache state (per-task L1 pairs plus a shared
-            // L2), so groups wider than `CONTENDED_LANE_GROUP` thrash the
-            // host cache and run measurably slower.
-            let group = lanes.min(Campaign::CONTENDED_LANE_GROUP);
-            let runs = scoped_chunks(seeds, self.threads, |chunk| {
-                let mut core = BatchContentionCore::new(&config, tasks, group.min(chunk.len()))?;
-                let mut out = Vec::with_capacity(chunk.len());
-                for group in chunk.chunks(core.lane_count()) {
-                    let lane_results = core.execute_schedule(schedule, group);
-                    for (&seed, task_results) in group.iter().zip(lane_results) {
-                        out.push(ContendedRun {
-                            seed,
-                            tasks: task_results
-                                .into_iter()
-                                .map(|(cycles, stats)| TaskRun { cycles, stats })
-                                .collect(),
-                        });
-                    }
-                }
-                Ok(out)
-            })?;
-            return Ok(ContendedResult::from_runs(runs));
-        }
         let arbitration = self.arbitration;
         let runs = scoped_chunks(seeds, self.threads, |chunk| {
             let mut core = ContentionCore::new(&config, tasks, arbitration)?;

@@ -12,13 +12,11 @@
 //! [`Trace`](crate::trace::Trace), a packed [`crate::packed::PackedTrace`],
 //! or a slice of events — shared read-only across the worker threads.
 //!
-//! Contended campaigns ([`Campaign::run_contended`]) use the same lane
-//! batching: under round-robin arbitration the interleaved co-schedule is
-//! seed-independent, so it is computed once per campaign and replayed
-//! across placement-seed lanes by a
-//! [`crate::contention::BatchContentionCore`] per worker (seeded-random
-//! arbitration and `with_lanes(1)` fall back to the scalar per-seed
-//! [`crate::contention::ContentionCore`]).
+//! Contended campaigns ([`Campaign::run_contended`]) share the worker
+//! pool but not the lanes: every worker owns a scalar
+//! [`crate::contention::ContentionCore`] and runs it once per seed, under
+//! either arbitration policy (an idle co-schedule takes the solo
+//! [`crate::batch::BatchCore`] path instead).
 //!
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
@@ -105,15 +103,6 @@ impl Campaign {
     /// every placement kind; see EXPERIMENTS.md).
     pub const DEFAULT_LANES: usize = 4;
 
-    /// Widest lane group the lane-batched contended engine steps per
-    /// schedule pass.  A solo lane is one hierarchy (~20KB for the LEON3
-    /// L1s), so eight lanes fit the host cache comfortably; a contended
-    /// lane is a whole co-schedule — per-task L1 pairs *plus* a shared L2,
-    /// ~70KB for a three-task LEON3 platform — and measured throughput
-    /// peaks at two lanes per group (wider groups thrash the host cache,
-    /// 8 lanes costing ~7% over 2 on the `contention_throughput` bench).
-    pub const CONTENDED_LANE_GROUP: usize = 2;
-
     /// Creates a campaign of `runs` runs on the given platform.
     pub fn new(config: PlatformConfig, runs: usize) -> Self {
         let threads = std::thread::available_parallelism()
@@ -146,19 +135,12 @@ impl Campaign {
     ///
     /// Lanes compose with threads: a campaign of `N` runs on `T` threads
     /// decodes the trace `N / (T * lanes)` times per thread.  Results are
-    /// bit-identical for every `(threads, lanes)` combination, for solo
-    /// *and* contended campaigns.  Contended round-robin campaigns treat
-    /// the knob as an upper bound: the lane-batched engine steps at most
-    /// [`Self::CONTENDED_LANE_GROUP`] placement lanes per schedule pass,
-    /// because each contended lane carries a full co-schedule's cache
-    /// state and wider groups thrash the host cache (see
-    /// `run::contended`).  With `with_lanes(1)`, solo runs use the lane
-    /// engine at width 1 (one seed per decode pass), and contended runs
-    /// take the sequential escape hatch: the scalar per-seed
-    /// [`crate::contention::ContentionCore`] instead of the lane-batched
-    /// engine (no panic, no silent batching).  Both are kept as the
-    /// comparison baselines of the `campaign_throughput` and
-    /// `contention_throughput` benchmarks.
+    /// bit-identical for every `(threads, lanes)` combination.  The knob
+    /// applies to the solo protocols only: with `with_lanes(1)` solo runs
+    /// use the lane engine at width 1 (one seed per decode pass, the
+    /// baseline of the `campaign_throughput` benchmark), while contended
+    /// campaigns always run the scalar per-seed
+    /// [`crate::contention::ContentionCore`], whatever the lane count.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
@@ -443,9 +425,8 @@ mod tests {
         // The contended analogue of `lanes_and_threads_do_not_change_results`:
         // the full grid of the batching knobs must reproduce one
         // ContendedResult bit-for-bit (per-task cycles *and* stats) against
-        // the sequential scalar reference, for both arbitration policies —
-        // lanes > 1 under round-robin routes through the lane-batched
-        // engine, everything else through the scalar one.
+        // the single-thread reference, for both arbitration policies; the
+        // lane knob must stay inert on contended campaigns.
         let sources = [stress_trace(), opponent_trace()];
         let seeds: Vec<u64> = (0..11).map(|i| 0xFEED ^ (i * 0x9E37_79B9)).collect();
         for arbitration in crate::contention::Arbitration::ALL {
@@ -473,27 +454,39 @@ mod tests {
     }
 
     #[test]
-    fn with_lanes_one_contended_selects_the_scalar_engine() {
-        // The sequential escape hatch: `with_lanes(1)` must run the scalar
-        // per-seed ContentionCore (not panic, not silently batch) and
-        // reproduce it bit for bit.
+    fn contended_campaigns_run_contention_core_per_seed() {
+        // Every non-idle co-schedule runs the scalar per-seed
+        // ContentionCore, whatever the lane count and arbitration, and
+        // reproduces it bit for bit.
         use crate::contention::{Arbitration, ContentionCore};
         let sources = [stress_trace(), opponent_trace()];
         let seeds = [4u64, 18, 0xC0FFEE];
-        let result = Campaign::new(PlatformConfig::leon3(), 0)
-            .with_threads(1)
-            .with_lanes(1)
-            .run_contended(&sources, &seeds)
-            .unwrap();
-        let mut scalar =
-            ContentionCore::new(&PlatformConfig::leon3(), 2, Arbitration::RoundRobin).unwrap();
-        for (run, &seed) in result.runs().iter().zip(&seeds) {
-            let reference = scalar
-                .execute_contended(sources.iter().map(|s| s.iter().copied()).collect(), seed);
-            assert_eq!(run.seed, seed);
-            let tasks: Vec<(u64, HierarchyStats)> =
-                run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
-            assert_eq!(tasks, reference);
+        for arbitration in Arbitration::ALL {
+            let mut scalar = ContentionCore::new(&PlatformConfig::leon3(), 2, arbitration).unwrap();
+            let expected: Vec<Vec<(u64, HierarchyStats)>> = seeds
+                .iter()
+                .map(|&seed| {
+                    scalar.execute_contended(
+                        sources.iter().map(|s| s.iter().copied()).collect(),
+                        seed,
+                    )
+                })
+                .collect();
+            for lanes in [1usize, 4] {
+                let result = Campaign::new(PlatformConfig::leon3(), 0)
+                    .with_threads(1)
+                    .with_lanes(lanes)
+                    .with_arbitration(arbitration)
+                    .run_contended(&sources, &seeds)
+                    .unwrap();
+                assert_eq!(result.len(), seeds.len());
+                for ((run, &seed), reference) in result.runs().iter().zip(&seeds).zip(&expected) {
+                    assert_eq!(run.seed, seed);
+                    let tasks: Vec<(u64, HierarchyStats)> =
+                        run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
+                    assert_eq!(&tasks, reference, "{arbitration} lanes={lanes} seed={seed}");
+                }
+            }
         }
     }
 

@@ -13,9 +13,9 @@
 //!
 //! A third property pins the execution-geometry invariance of contended
 //! campaigns: one `ContendedResult`, reproduced bit-for-bit across every
-//! lanes × threads grid point, under both round-robin (where `lanes > 1`
-//! selects the lane-batched `BatchContentionCore`) and seeded-random
-//! (where the lane knob is inert and everything stays scalar).
+//! lanes × threads grid point, under both round-robin and seeded-random
+//! arbitration.  Every point runs the scalar `ContentionCore` per seed:
+//! the lane knob is inert on contended campaigns, and the grid pins that.
 
 mod common;
 
@@ -64,10 +64,8 @@ proptest! {
     /// One contended campaign, every lanes × threads grid point: the
     /// `ContendedResult` must reproduce bit-for-bit — per-task cycles,
     /// per-task statistics, run order — whatever the execution geometry.
-    /// Under round-robin the grid spans the scalar engine (`lanes == 1`),
-    /// partial batches and full lane groups; under seeded-random every
-    /// point stays on the scalar engine, which must be equally
-    /// lane-knob-invariant (the knob is simply inert there).
+    /// The lane knob is inert on contended campaigns, under either
+    /// arbitration policy; the thread counts give ragged seed chunks.
     #[test]
     fn contended_results_are_lane_and_thread_invariant(
         victim_events in prop::collection::vec(event_strategy(), 1..200),
@@ -91,12 +89,9 @@ proptest! {
             .with_arbitration(arbitration)
             .run_contended(&sources, &seeds)
             .unwrap();
-        // `CONTENDED_LANE_GROUP` (= 2) is the widest group the batched
-        // contended engine steps per pass: lanes == 2 is the exact
-        // boundary, 3 is clamped back down to it (one full group plus a
-        // partial single-lane pass per chunk), and 7 adds ragged thread
-        // chunks; 11 seeds make every width end on a partial final group.
-        for lanes in [Campaign::CONTENDED_LANE_GROUP, 3, 7] {
+        // Every lane count must be inert; 11 seeds split unevenly across
+        // 3 threads.
+        for lanes in [2, 3, 7] {
             for threads in [1usize, 3] {
                 let result = Campaign::new(config, 0)
                     .with_threads(threads)

@@ -23,11 +23,10 @@
 //! The contended half does the same for the shared-L2 platform:
 //! `RefSharedL2`/`RefContentionCore` naively re-implement the K-task
 //! hierarchy and both arbitration policies (per-set `Vec`s, `VecDeque`
-//! event queues, per-access statistics snapshots — no run collapsing, no
-//! precomputed schedule, no lane batching) and are proptested against the
-//! scalar `ContentionCore` *and* the full `Campaign::run_contended` path,
-//! which under round-robin routes through the lane-batched
-//! `BatchContentionCore`.
+//! event queues, per-access statistics snapshots, no lean counter blocks)
+//! and are proptested against `ContentionCore` *and* the full
+//! `Campaign::run_contended` path, which runs `ContentionCore` once per
+//! seed across several lanes and threads.
 //!
 //! `REFERENCE_MODEL_CASES` (env) scales the proptest case count; CI runs
 //! this suite with a larger budget than the local default.
@@ -412,9 +411,8 @@ impl RefSharedL2 {
 /// [`RefSharedL2`] under the documented arbitration specification —
 /// round-robin visits ready tasks in index order; seeded-random draws a
 /// uniformly random ready task per step from `SplitMix64(seed ^ salt)`.
-/// Shares no code with `ContentionCore`, `ContendedSchedule` or the
-/// lane-batched replay (in particular: no run collapsing, no
-/// precomputed schedule).
+/// Shares no code with `ContentionCore` or its shared-L2 hierarchy (in
+/// particular: no lean access paths, no per-task counter blocks).
 struct RefContentionCore {
     hierarchy: RefSharedL2,
     arbitration: Arbitration,
@@ -579,14 +577,13 @@ proptest! {
         }
     }
 
-    /// The naive contention reference reproduces both contended
-    /// production engines exactly — per-task cycles and full per-task
+    /// The naive contention reference reproduces the contended
+    /// production engine exactly — per-task cycles and full per-task
     /// statistics (private L1s plus each task's view of the shared L2) —
     /// across arbitrations × placements × co-schedule sizes ×
-    /// {LRU, Random} × {WT, WB}.  The campaign goes through
-    /// `Campaign::run_contended` with several lanes and threads, so under
-    /// round-robin this also pins the lane-batched
-    /// `BatchContentionCore` path against the reference.
+    /// {LRU, Random} × {WT, WB}, both called directly and through
+    /// `Campaign::run_contended` with several lanes and threads (which
+    /// also covers the idle co-schedule's solo route).
     #[test]
     fn contended_engines_match_the_reference_model(
         victim in prop::collection::vec(event_strategy(), 1..200),
@@ -644,9 +641,9 @@ proptest! {
 }
 
 /// The contended counterpart of the heavy deterministic case: the naive
-/// contention reference against the scalar `ContentionCore` and the
-/// lane-batched campaign path, on an L2-stressing three-task co-schedule,
-/// for every placement × both arbitrations.
+/// contention reference against `ContentionCore` and the campaign path,
+/// on an L2-stressing three-task co-schedule, for every placement × both
+/// arbitrations.
 #[test]
 fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
     let mut victim = Trace::new();
