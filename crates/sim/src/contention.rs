@@ -515,9 +515,17 @@ mod tests {
         assert_eq!(padded, missing);
         assert_eq!(missing[1], (0, HierarchyStats::default()));
         assert_eq!(missing[2], (0, HierarchyStats::default()));
-        // With no stream at all every task is idle: an empty run per task.
-        let idle = core.execute_contended(Vec::<std::vec::IntoIter<MemEvent>>::new(), 13);
-        assert_eq!(idle, vec![(0, HierarchyStats::default()); 3]);
+    }
+
+    #[test]
+    fn empty_schedule_is_an_idle_run() {
+        // With no stream at all every task is idle: an empty run per task,
+        // under either arbitration policy.
+        for arbitration in [Arbitration::RoundRobin, Arbitration::SeededRandom] {
+            let mut core = ContentionCore::new(&config(), 2, arbitration).unwrap();
+            let idle = core.execute_contended(Vec::<std::vec::IntoIter<MemEvent>>::new(), 9);
+            assert_eq!(idle, vec![(0, HierarchyStats::default()); 2]);
+        }
     }
 
     #[test]
