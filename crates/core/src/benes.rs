@@ -160,9 +160,13 @@ impl BenesNetwork {
     ///
     /// Because the network realises a permutation of bit positions, this is
     /// a bijection on `0..2^n` for every control word — the property Random
-    /// Modulo relies on.
-    /// This runs once per Random-Modulo cache access, so it is written to
-    /// be allocation-free and branchless: each switch is a conditional
+    /// Modulo relies on.  It is also linear over GF(2) (`P(a ^ b) = P(a) ^
+    /// P(b)`), which is what lets the cache models route each segment's
+    /// control word through [`Self::apply`] once and serve its accesses from
+    /// XOR tables; this walk is the specification those tables are tested
+    /// against and the path for indices too wide to tabulate.
+    ///
+    /// It is allocation-free and branchless: each switch is a conditional
     /// exchange of two bit positions, applied with the XOR-swap identity
     /// masked by the control bit.  Bits at positions `n` and above are
     /// discarded, as the bit-vector construction this replaced did.
@@ -180,44 +184,6 @@ impl BenesNetwork {
             v ^= (diff << gate.a) | (diff << gate.b);
         }
         v
-    }
-
-    /// Permutes the low `n` bits of `value` once per lane, lane `i` using
-    /// `controls[i]`, writing lane `i`'s result into `out[i]`.
-    ///
-    /// This is the wavefront form of [`Self::permute_bits`] used when the
-    /// lane-batched Random-Modulo memo fills one LUT entry across all seed
-    /// lanes: the same modulo index enters every lane, each lane applies its
-    /// own seed-derived control word.  The walk is gate-outer / lane-inner —
-    /// a fixed-trip, branch-free inner sweep over adjacent lane values that
-    /// the compiler can vectorize — and each lane's result is bit-identical
-    /// to the scalar `permute_bits(value, controls[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `controls`.
-    pub fn permute_bits_lanes(&self, value: u32, controls: &[u128], out: &mut [u32]) {
-        assert!(
-            out.len() >= controls.len(),
-            "output buffer holds {} lanes, control words for {}",
-            out.len(),
-            controls.len()
-        );
-        let masked = if self.n >= u32::BITS as usize {
-            value
-        } else {
-            value & ((1u32 << self.n) - 1)
-        };
-        let out = &mut out[..controls.len()];
-        out.fill(masked);
-        for (k, gate) in self.gates.iter().enumerate() {
-            let (a, b) = (gate.a, gate.b);
-            for (v, &word) in out.iter_mut().zip(controls.iter()) {
-                let control = ((word >> k) & 1) as u32;
-                let diff = ((*v >> a) ^ (*v >> b)) & control;
-                *v ^= (diff << a) | (diff << b);
-            }
-        }
     }
 
     /// Masks a control word to the bits the network actually uses.
@@ -388,37 +354,6 @@ mod tests {
             reached.insert(net.permutation(net.mask_controls(controls)));
         }
         assert!(reached.len() > 2500, "only {} distinct permutations", reached.len());
-    }
-
-    #[test]
-    fn lane_wave_matches_scalar_permute_bits() {
-        // The gate-outer/lane-inner wave must reproduce the scalar walk for
-        // every lane, for even/odd wire counts and partial lane waves.
-        for n in [1usize, 2, 7, 8, 10] {
-            let net = BenesNetwork::new(n);
-            let mut sm = crate::prng::SplitMix64::new(0xFACE);
-            for lanes in [1usize, 3, 8] {
-                let controls: Vec<u128> = (0..lanes)
-                    .map(|_| ((sm.next_u64() as u128) << 64) | sm.next_u64() as u128)
-                    .collect();
-                let mut out = vec![0u32; lanes + 2];
-                for _ in 0..20 {
-                    let value = sm.next_u64() as u32;
-                    net.permute_bits_lanes(value, &controls, &mut out);
-                    for (lane, &control) in controls.iter().enumerate() {
-                        assert_eq!(out[lane], net.permute_bits(value, control));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "output buffer holds")]
-    fn lane_wave_with_short_output_panics() {
-        let net = BenesNetwork::new(4);
-        let mut out = [0u32; 1];
-        net.permute_bits_lanes(3, &[0, 1], &mut out);
     }
 
     #[test]

@@ -357,9 +357,9 @@ impl From<Box<dyn PlacementPolicy>> for Placement {
 ///   independent hash chains in one fixed-trip sweep, which the CPU
 ///   overlaps (the scalar engine serialises the ~20-operation dependency
 ///   chain per access — the main reason hRP trailed MOD by ~2x).
-/// * **RM** shares one Benes network and keeps a lane-major per-segment
-///   LUT memo; a memo miss fills the entry for *all* lanes with one
-///   gate-outer/lane-inner network wave ([`BenesNetwork::permute_bits_lanes`]).
+/// * **RM** shares one Benes network and keeps per-slot, per-lane
+///   bit-permutation tables; a memo miss routes the segment once per lane,
+///   and every access is two table loads and one XOR per lane.
 /// * **Custom** (boxed [`PlacementPolicy`] implementations) falls back to
 ///   one scalar virtual call per lane — external policies keep working,
 ///   at the pre-wavefront cost.
@@ -634,178 +634,68 @@ impl HashRandomLanes {
     }
 }
 
-/// RM across lanes: one shared Benes network, per-lane seed material, and a
-/// lane-major per-segment LUT memo.
+/// RM across lanes: one shared Benes network, per-lane seed material, and
+/// one [`SegmentLutCache`] holding K table pairs per slot.
 ///
-/// The memo mirrors the scalar [`SegmentLutCache`] — hashed slot placement,
-/// lazy per-entry fill — with one twist: every lane sees the *same* line
-/// stream, so slot tags and entry valid bits are shared across lanes and an
-/// entry miss fills all K lanes at once with one
-/// [`BenesNetwork::permute_bits_lanes`] wave.  `luts[(slot * sets + index) *
-/// lanes + lane]` keeps each entry's K permuted indices adjacent, so the
-/// per-access gather is one short contiguous read.
+/// Every lane sees the *same* line stream, so the slot tags are shared
+/// across lanes and a slot fill routes the segment once per lane; a wave
+/// then reads the slot's contiguous row of K table pairs.
 #[derive(Debug, Clone)]
 struct RandomModuloLanes {
     geometry: CacheGeometry,
     network: BenesNetwork,
-    lanes: usize,
-    seed_controls: Vec<u128>,
-    seed_top_bit: Vec<u128>,
-    /// Number of direct-mapped memo slots (zero disables memoization, as in
-    /// the scalar policy).
-    slots: usize,
-    sets: usize,
-    words_per_slot: usize,
-    /// Segment id resident in each slot (`u64::MAX` = empty).
-    tags: Vec<u64>,
-    /// Per-slot, per-lane control words, refreshed on slot retag.
-    slot_controls: Vec<u128>,
-    /// Lane-major permuted indices; see the struct docs for the layout.
-    luts: Vec<u16>,
-    /// One valid bit per (slot, index) entry — an entry is valid for all
-    /// lanes or none.
-    valid: Vec<u64>,
-    /// Wave output scratch (`lanes` wide).
-    scratch: Vec<u32>,
+    seeds: Vec<RmSeed>,
+    memo: SegmentLutCache,
 }
 
 impl RandomModuloLanes {
     fn new(geometry: CacheGeometry, lanes: usize) -> Self {
         let network = BenesNetwork::new(geometry.index_bits().max(1) as usize);
-        let sets = geometry.sets() as usize;
-        // Same slot sizing policy as the scalar SegmentLutCache: the budget
-        // is per lane, so the wavefront memo simply scales by K.
-        let slots = if geometry.sets() <= SegmentLutCache::MAX_SETS {
-            (SegmentLutCache::BUDGET_ENTRIES / sets)
-                .clamp(4, 64)
-                .next_power_of_two()
-        } else {
-            0
-        };
-        let words_per_slot = sets.div_ceil(64);
-        let mut bank = RandomModuloLanes {
+        RandomModuloLanes {
             geometry,
+            memo: SegmentLutCache::new(geometry, &network, lanes),
             network,
-            lanes,
-            seed_controls: vec![0; lanes],
-            seed_top_bit: vec![0; lanes],
-            slots,
-            sets,
-            words_per_slot,
-            tags: vec![u64::MAX; slots],
-            slot_controls: vec![0; slots * lanes],
-            luts: vec![0; slots * sets * lanes],
-            valid: vec![0; slots * words_per_slot],
-            scratch: vec![0; lanes],
-        };
-        for lane in 0..lanes {
-            bank.reseed_lane(lane, 0);
+            seeds: vec![RmSeed::new(0); lanes],
         }
-        bank
     }
 
     fn reseed_lane(&mut self, lane: usize, seed: u64) {
-        // randmod: allow(P1, PlacementLanes::reseed_lane asserts lane < lane_count before dispatching here, and the constructor sizes both seed vectors to exactly `lanes`)
-        (self.seed_controls[lane], self.seed_top_bit[lane]) = rm_seed_material(seed);
-        // A new seed on any lane selects new permutations for that lane;
-        // tags and valid bits are shared, so drop every slot.
-        self.tags.fill(u64::MAX);
-        self.valid.fill(0);
-    }
-
-    /// Same Fibonacci slot hash as the scalar memo.
-    #[inline]
-    fn slot_of(&self, segment: u64) -> usize {
-        let hashed = segment.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed >> (u64::BITS - self.slots.trailing_zeros())) as usize
-    }
-
-    /// Ensures the memo entry for `(segment, modulo_index)` is filled for
-    /// every lane and returns the base of its lane-major row.
-    // randmod: allow(P1, every offset is in-bounds by the constructor's sizing: slot < slots via slot_of's top-bits shift, tags/valid/slot_controls/luts hold slots, slots*words_per_slot, slots*lanes and slots*sets*lanes entries, and modulo_index < sets by geometry; the memo layout is pinned against the scalar policy by the lane-equivalence proptests)
-    #[inline]
-    fn fill_entry(&mut self, segment: u64, modulo_index: u32) -> usize {
-        let slot = self.slot_of(segment);
-        let control_base = slot * self.lanes;
-        if self.tags[slot] != segment {
-            // Slot swap: retag, refresh the per-lane control words, clear
-            // the valid bitmap.  Entries refill lazily on first use.
-            self.tags[slot] = segment;
-            let needed = self.network.control_bits();
-            for lane in 0..self.lanes {
-                self.slot_controls[control_base + lane] = rm_control_word(
-                    needed,
-                    self.seed_controls[lane],
-                    self.seed_top_bit[lane],
-                    segment,
-                );
-            }
-            let word_base = slot * self.words_per_slot;
-            self.valid[word_base..word_base + self.words_per_slot].fill(0);
+        if let Some(material) = self.seeds.get_mut(lane) {
+            *material = RmSeed::new(seed);
         }
-        let entry = slot * self.sets + modulo_index as usize;
-        let base = entry * self.lanes;
-        let word = slot * self.words_per_slot + (modulo_index as usize >> 6);
-        let bit = 1u64 << (modulo_index & 63);
-        if self.valid[word] & bit == 0 {
-            self.network.permute_bits_lanes(
-                modulo_index,
-                &self.slot_controls[control_base..control_base + self.lanes],
-                &mut self.scratch,
-            );
-            for (slot_entry, &permuted) in self.luts[base..base + self.lanes]
-                .iter_mut()
-                .zip(self.scratch.iter())
-            {
-                *slot_entry = permuted as u16;
-            }
-            self.valid[word] |= bit;
-        }
-        base
+        // The tags are shared across lanes, so a new seed on any lane
+        // drops every slot.
+        self.memo.invalidate();
     }
 
-    // randmod: allow(P1, out.len() <= lanes is asserted by the PlacementLanes facade and fill_entry returns a base with a full lane-major row behind it, so luts[base..] holds at least `lanes` entries)
     #[inline]
     fn index_lanes(&mut self, line: LineAddr, out: &mut [u32]) {
         let modulo_index = self.geometry.modulo_index_of_line(line);
         let segment = self.geometry.segment_of_line(line);
-        if self.slots == 0 {
-            // Memoization disabled (giant geometry): wave-walk the network
-            // directly with per-lane control words.
-            let needed = self.network.control_bits();
-            for (lane, slot) in out.iter_mut().enumerate() {
-                let controls = rm_control_word(
-                    needed,
-                    self.seed_controls[lane],
-                    self.seed_top_bit[lane],
-                    segment,
-                );
-                *slot = self.network.permute_bits(modulo_index, controls);
+        let split = self.memo.split;
+        if let Some(row) = self.memo.row(&self.network, &self.seeds, segment) {
+            for (slot, table) in out.iter_mut().zip(row) {
+                *slot = split.lookup(table, modulo_index);
             }
             return;
         }
-        let base = self.fill_entry(segment, modulo_index);
-        for (slot, &permuted) in out.iter_mut().zip(self.luts[base..].iter()) {
-            *slot = permuted as u32;
+        for (slot, seed) in out.iter_mut().zip(&self.seeds) {
+            *slot = seed.walk(&self.network, segment, modulo_index);
         }
     }
 
-    // randmod: allow(P1, lane < lanes is guaranteed by the PlacementLanes facade (debug_assert at the dispatch site) and base + lanes <= luts.len() by fill_entry's row layout)
     #[inline]
     fn index_lane(&mut self, lane: usize, line: LineAddr) -> u32 {
         let modulo_index = self.geometry.modulo_index_of_line(line);
         let segment = self.geometry.segment_of_line(line);
-        if self.slots == 0 {
-            let controls = rm_control_word(
-                self.network.control_bits(),
-                self.seed_controls[lane],
-                self.seed_top_bit[lane],
-                segment,
-            );
-            return self.network.permute_bits(modulo_index, controls);
+        let split = self.memo.split;
+        match self.memo.row(&self.network, &self.seeds, segment) {
+            Some(row) => row.get(lane).map_or(0, |table| split.lookup(table, modulo_index)),
+            None => self
+                .seeds
+                .get(lane)
+                .map_or(0, |seed| seed.walk(&self.network, segment, modulo_index)),
         }
-        let base = self.fill_entry(segment, modulo_index);
-        self.luts[base + lane] as u32
     }
 }
 
@@ -1106,93 +996,241 @@ pub struct RandomModuloPlacement {
     geometry: CacheGeometry,
     seed: u64,
     network: BenesNetwork,
-    /// Seed material XORed into the control word (recomputed on reseed).
-    seed_controls: u128,
-    /// The seed bit concatenated above the upper-address bits.
-    seed_top_bit: u128,
+    /// Control material expanded from the seed (recomputed on reseed).
+    material: RmSeed,
     /// Per-segment permutation memo used by the `&mut self` hot path.
     memo: SegmentLutCache,
 }
 
-/// Direct-mapped memo of per-segment index permutations.
-///
-/// Under a fixed seed, RM's mapping within one cache segment is a fixed
-/// permutation of the modulo indices (that is its defining property), and a
-/// program touches only a handful of segments — its footprint divided by
-/// the way size.  Walking the Benes network on every access therefore
-/// recomputes the same few permutations millions of times.  This memo
-/// caches each segment's permutation as a flat look-up table, turning the
-/// per-access cost into one predictable tag compare plus one table load.
-/// Entries are pure functions of `(segment, seed)`, so memoized results are
-/// bit-identical to the network walk; reseeding invalidates everything.
-///
-/// Two design points keep the memo robust when *several* working sets
-/// interleave (the shared-L2 contention campaigns, where co-runner tasks
-/// alternate segments every few accesses):
-///
-/// * **Hashed slot placement.**  Slots are selected by a multiplicative
-///   hash of the segment id, not its low bits — co-runners laid out at
-///   large power-of-two offsets land in distinct slots instead of all
-///   aliasing slot 0.
-/// * **Lazy per-entry fill.**  A slot swap only retags the slot and clears
-///   a per-entry valid bitmap (a few words); each LUT entry is computed on
-///   first use.  Eagerly filling a whole LUT per swap turns slot aliasing
-///   into ~`sets` network walks *per access* — a 100x+ slowdown observed
-///   the moment two alternating tasks shared a slot.
-#[derive(Debug, Clone)]
-struct SegmentLutCache {
-    /// Number of direct-mapped slots (power of two); zero when memoization
-    /// is disabled because the geometry's LUTs would be too large.
-    slots: usize,
-    sets: usize,
-    /// `u64` words of valid bits per slot (`sets.div_ceil(64)`).
-    words_per_slot: usize,
-    /// Segment id resident in each slot (`u64::MAX` = empty).
-    tags: Vec<u64>,
-    /// `luts[slot * sets + modulo_index]` = permuted index (valid only when
-    /// the matching bit of `valid` is set).
-    luts: Vec<u16>,
-    /// One valid bit per LUT entry, `words_per_slot` words per slot.
-    valid: Vec<u64>,
+/// RM's seed-derived control material.  Shared by the scalar policy and
+/// the lane bank so both derive exactly the same permutations for the same
+/// seed.
+#[derive(Debug, Clone, Copy)]
+struct RmSeed {
+    /// Seed material XORed into the control word.
+    controls: u128,
+    /// The seed bit concatenated above the upper-address bits.
+    top_bit: u128,
 }
 
-impl SegmentLutCache {
-    /// Upper bound on sets for which memoization pays off (the LUT of one
-    /// segment must stay small enough to be cache-resident, and index
-    /// values must fit the `u16` entries).
-    const MAX_SETS: u32 = 4096;
-    /// Approximate per-cache memo budget in LUT entries (~16KB of `u16`s).
-    const BUDGET_ENTRIES: usize = 8192;
-
-    fn new(geometry: CacheGeometry) -> Self {
-        let sets = geometry.sets() as usize;
-        let slots = if geometry.sets() <= Self::MAX_SETS {
-            (Self::BUDGET_ENTRIES / sets).clamp(4, 64).next_power_of_two()
-        } else {
-            0
-        };
-        let words_per_slot = sets.div_ceil(64);
-        SegmentLutCache {
-            slots,
-            sets,
-            words_per_slot,
-            tags: vec![u64::MAX; slots],
-            luts: vec![0; slots * sets],
-            valid: vec![0; slots * words_per_slot],
+impl RmSeed {
+    /// Expands a placement seed.  The expansion gives networks needing more
+    /// than 64 control bits (index widths above 11) full-entropy control
+    /// material.
+    fn new(seed: u64) -> Self {
+        let mut sm = SplitMix64::new(seed);
+        let low = sm.next_u64() as u128;
+        let high = sm.next_u64() as u128;
+        RmSeed {
+            controls: (high << 64) | low,
+            top_bit: (seed >> 63) as u128 & 1,
         }
     }
 
-    /// The slot a segment maps to (Fibonacci hashing on the high product
-    /// bits, so segments at regular power-of-two strides spread out).
+    /// The Benes control word of a `needed`-bit network for one segment:
+    /// the upper address bits concatenated with the seed's top bit, XORed
+    /// with the seed material.
     #[inline]
-    fn slot_of(&self, segment: u64) -> usize {
-        let hashed = segment.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed >> (u64::BITS - self.slots.trailing_zeros())) as usize
+    fn control_word(self, needed: usize, segment: u64) -> u128 {
+        if needed == 0 {
+            return 0;
+        }
+        let mask: u128 = if needed >= 128 {
+            u128::MAX
+        } else {
+            (1u128 << needed) - 1
+        };
+        let addr_part = (segment as u128) & (mask >> 1);
+        let concatenated = addr_part | (self.top_bit << (needed - 1));
+        (concatenated ^ self.controls) & mask
+    }
+
+    /// Maps one index of one segment by walking the network: the pure
+    /// specification of RM, and the path for geometries too large to memoize.
+    #[inline]
+    fn walk(self, network: &BenesNetwork, segment: u64, modulo_index: u32) -> u32 {
+        network.permute_bits(modulo_index, self.control_word(network.control_bits(), segment))
+    }
+}
+
+/// Direct-mapped memo of per-segment bit-permutation tables, for one
+/// policy or for a bank of seed lanes.
+///
+/// Under a fixed seed, RM's mapping within one cache segment is a fixed
+/// permutation of the index *bit positions* (that is its defining
+/// property), and a program touches only a handful of segments — its
+/// footprint divided by the way size.  Walking the Benes network on every
+/// access therefore recomputes the same few permutations millions of
+/// times.  This memo routes a segment through the network once per lane
+/// when the segment takes a slot, and keeps each result as a pair of XOR
+/// tables (see [`TableSplit`]): the per-access cost is one tag compare, two
+/// table loads and one XOR.  Tables are pure functions of `(segment,
+/// seed)`, so memoized results are bit-identical to the network walk;
+/// reseeding clears the slot tags.
+///
+/// Slots are selected by a multiplicative hash of the segment id, not its
+/// low bits, so co-runner tasks laid out at large power-of-two offsets
+/// (the shared-L2 contention campaigns, where tasks alternate segments
+/// every few accesses) land in distinct slots instead of all aliasing
+/// slot 0.  Two segments that do share a slot cost one route per swap.
+#[derive(Debug, Clone)]
+struct SegmentLutCache {
+    split: TableSplit,
+    /// Table pairs per slot: one for the scalar policy, K for a lane bank.
+    lanes: usize,
+    /// Segment id resident in each slot (`u64::MAX` = empty); no slots at
+    /// all when the geometry is too large to memoize.
+    tags: Vec<u64>,
+    /// Slot `s`, lane `l`'s table pair at `s * lanes + l`.
+    tables: Vec<SegmentTable>,
+    /// Slot fills so far; each routes the segment once per lane.
+    routes: u64,
+}
+
+/// Direct-mapped slot count of the RM memo (a power of two).
+const RM_MEMO_SLOTS: usize = 64;
+
+/// Most index bits a segment's table pair covers.
+const RM_TABLE_BITS: usize = 12;
+
+/// Entries of each half table: one per value of a 6-bit index half.
+const RM_HALF_LEN: usize = 1 << (RM_TABLE_BITS / 2);
+
+/// One segment's permutation as a pair of XOR tables: the low-half table,
+/// then the high-half table.
+type SegmentTable = [u16; 2 * RM_HALF_LEN];
+
+/// The memo slot of a segment: Fibonacci hashing on the high product bits,
+/// so segments at regular power-of-two strides spread out.
+#[inline]
+fn rm_slot_of(segment: u64) -> usize {
+    let hashed = segment.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (hashed >> (u64::BITS - RM_MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// How a segment's table pair splits an index, and the table builder.
+///
+/// The Benes network only exchanges bit positions, so for one control word
+/// it is a linear map over GF(2): `P(a ^ b) = P(a) ^ P(b)`.  An index is
+/// split into its low `low_bits` bits and the remaining high bits, and
+/// `P(index) = low_table[low] ^ high_table[high]`, where each table holds
+/// the XOR of the images of its half's set bits.  With at most 12 index
+/// bits, each half has at most 6 bits and each table at most 64 entries.
+#[derive(Debug, Clone, Copy)]
+struct TableSplit {
+    low_bits: u32,
+    low_mask: u32,
+}
+
+impl TableSplit {
+    fn new(network: &BenesNetwork) -> Self {
+        let low_bits = (network.wires() / 2) as u32;
+        TableSplit {
+            low_bits,
+            low_mask: (1 << low_bits) - 1,
+        }
+    }
+
+    /// Routes one control word through `network` once and writes the
+    /// resulting permutation's table pair into `table`.
+    fn route(self, network: &BenesNetwork, controls: u128, table: &mut SegmentTable) {
+        // Wire `i` starts out carrying source bit position `i`; after the
+        // network, output position `i` carries the source bit routed to it.
+        let mut wires: [u8; RM_TABLE_BITS] = std::array::from_fn(|position| position as u8);
+        let Some(wires) = wires.get_mut(..network.wires()) else {
+            return;
+        };
+        network.apply(wires, controls);
+        let mut images = [0u16; RM_TABLE_BITS];
+        for (position, &source) in wires.iter().enumerate() {
+            if let Some(image) = images.get_mut(usize::from(source)) {
+                *image = 1 << position;
+            }
+        }
+        let (low_images, high_images) = images.split_at(self.low_bits as usize);
+        let high_bits = wires.len() - low_images.len();
+        let high_images = high_images.get(..high_bits).unwrap_or_default();
+        let (low_table, high_table) = table.split_at_mut(RM_HALF_LEN);
+        fill_xor_table(low_table, low_images);
+        fill_xor_table(high_table, high_images);
+    }
+
+    /// The permuted index of `index` under the permutation `table` holds.
+    #[inline]
+    fn lookup(self, table: &SegmentTable, index: u32) -> u32 {
+        // The `RM_HALF_LEN - 1` masks only restate the table bounds (the
+        // halves are at most 6 bits wide), so the loads need no checks.
+        let low = (index & self.low_mask) as usize & (RM_HALF_LEN - 1);
+        let high = (index >> self.low_bits) as usize & (RM_HALF_LEN - 1);
+        let low_image = table.get(low).copied().unwrap_or_default();
+        let high_image = table.get(RM_HALF_LEN + high).copied().unwrap_or_default();
+        u32::from(low_image ^ high_image)
+    }
+}
+
+/// Fills `table[v]`, for every `v` below `2^images.len()`, with the XOR of
+/// `images[k]` over the set bits `k` of `v`, doubling the filled prefix
+/// once per image.
+fn fill_xor_table(table: &mut [u16], images: &[u16]) {
+    if let Some(first) = table.first_mut() {
+        *first = 0;
+    }
+    let mut filled = 1;
+    for &image in images {
+        let (done, rest) = table.split_at_mut(filled.min(table.len()));
+        for (next, &prev) in rest.iter_mut().zip(done.iter()) {
+            *next = prev ^ image;
+        }
+        filled *= 2;
+    }
+}
+
+impl SegmentLutCache {
+    /// Upper bound on sets for which memoization applies: the index must
+    /// fit the two halves of a [`SegmentTable`].
+    const MAX_SETS: u32 = 1 << RM_TABLE_BITS;
+
+    fn new(geometry: CacheGeometry, network: &BenesNetwork, lanes: usize) -> Self {
+        let slots = if geometry.sets() <= Self::MAX_SETS {
+            RM_MEMO_SLOTS
+        } else {
+            0
+        };
+        SegmentLutCache {
+            split: TableSplit::new(network),
+            lanes,
+            tags: vec![u64::MAX; slots],
+            tables: vec![[0; 2 * RM_HALF_LEN]; slots * lanes],
+            routes: 0,
+        }
+    }
+
+    /// The row of per-lane table pairs serving `segment`, routing the
+    /// segment once per lane under `seeds` on a slot miss; `None` when
+    /// memoization is disabled.
+    #[inline]
+    fn row(
+        &mut self,
+        network: &BenesNetwork,
+        seeds: &[RmSeed],
+        segment: u64,
+    ) -> Option<&[SegmentTable]> {
+        let slot = rm_slot_of(segment);
+        let tag = self.tags.get_mut(slot)?;
+        let row = self.tables.get_mut(slot * self.lanes..(slot + 1) * self.lanes)?;
+        if *tag != segment {
+            *tag = segment;
+            for (table, seed) in row.iter_mut().zip(seeds) {
+                let controls = seed.control_word(network.control_bits(), segment);
+                self.split.route(network, controls, table);
+            }
+            self.routes += 1;
+        }
+        Some(row)
     }
 
     fn invalidate(&mut self) {
         self.tags.fill(u64::MAX);
-        self.valid.fill(0);
     }
 }
 
@@ -1200,52 +1238,31 @@ impl RandomModuloPlacement {
     /// Creates an RM placement for the given geometry (seed 0 installed).
     pub fn new(geometry: CacheGeometry) -> Self {
         let network = BenesNetwork::new(geometry.index_bits().max(1) as usize);
-        let mut policy = RandomModuloPlacement {
+        RandomModuloPlacement {
             geometry,
             seed: 0,
+            memo: SegmentLutCache::new(geometry, &network, 1),
             network,
-            seed_controls: 0,
-            seed_top_bit: 0,
-            memo: SegmentLutCache::new(geometry),
-        };
-        policy.reseed(0);
-        policy
+            material: RmSeed::new(0),
+        }
     }
 
     /// Maps a line address to its set index through the per-segment
     /// permutation memo — the cache-model hot path.
     ///
     /// Bit-identical to [`PlacementPolicy::set_index_of_line`] (memo
-    /// entries are pure functions of the segment and the installed seed);
+    /// tables are pure functions of the segment and the installed seed);
     /// the `&mut self` receiver is only used to fill memo slots.
-    // randmod: allow(P1, the scalar twin of RandomModuloLanes::fill_entry: slot < slots via slot_of's top-bits shift, the memo vectors are sized slots / slots*words_per_slot / slots*sets at construction, and modulo_index < sets by geometry — bit-equivalence with the uncached path is proptested)
     #[inline]
     pub fn set_index_of_line_cached(&mut self, line: LineAddr) -> u32 {
         let modulo_index = self.geometry.modulo_index_of_line(line);
         let segment = self.geometry.segment_of_line(line);
-        if self.memo.slots == 0 {
-            let controls = self.control_word_for_segment(segment);
-            return self.network.permute_bits(modulo_index, controls);
+        let split = self.memo.split;
+        let seeds = std::slice::from_ref(&self.material);
+        match self.memo.row(&self.network, seeds, segment) {
+            Some([table]) => split.lookup(table, modulo_index),
+            _ => self.material.walk(&self.network, segment, modulo_index),
         }
-        let slot = self.memo.slot_of(segment);
-        if self.memo.tags[slot] != segment {
-            // Slot swap: retag and clear the valid bitmap only.  Entries
-            // are recomputed lazily on first use, so alternating between
-            // segments that share a slot costs one network walk per fresh
-            // index instead of a whole-LUT refill per swap.
-            self.memo.tags[slot] = segment;
-            let word_base = slot * self.memo.words_per_slot;
-            self.memo.valid[word_base..word_base + self.memo.words_per_slot].fill(0);
-        }
-        let entry = slot * self.memo.sets + modulo_index as usize;
-        let word = slot * self.memo.words_per_slot + (modulo_index as usize >> 6);
-        let bit = 1u64 << (modulo_index & 63);
-        if self.memo.valid[word] & bit == 0 {
-            let controls = self.control_word_for_segment(segment);
-            self.memo.luts[entry] = self.network.permute_bits(modulo_index, controls) as u16;
-            self.memo.valid[word] |= bit;
-        }
-        self.memo.luts[entry] as u32
     }
 
     /// Number of control bits of the underlying Benes network.
@@ -1261,41 +1278,8 @@ impl RandomModuloPlacement {
     /// small changes in the upper address bits lead to different index
     /// permutations while the per-run seed decorrelates layouts across runs.
     pub fn control_word_for_segment(&self, segment: u64) -> u128 {
-        rm_control_word(
-            self.network.control_bits(),
-            self.seed_controls,
-            self.seed_top_bit,
-            segment,
-        )
+        self.material.control_word(self.network.control_bits(), segment)
     }
-}
-
-/// Computes RM's Benes control word for one cache segment from the
-/// seed-derived material.  Shared by the scalar policy and the lane bank so
-/// both derive exactly the same permutations for the same seed.
-#[inline]
-fn rm_control_word(needed: usize, seed_controls: u128, seed_top_bit: u128, segment: u64) -> u128 {
-    if needed == 0 {
-        return 0;
-    }
-    let mask: u128 = if needed >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << needed) - 1
-    };
-    let addr_part = (segment as u128) & (mask >> 1);
-    let concatenated = addr_part | (seed_top_bit << (needed - 1));
-    (concatenated ^ seed_controls) & mask
-}
-
-/// Expands an RM placement seed into its 128-bit control material and the
-/// concatenated top bit, exactly as [`RandomModuloPlacement::reseed`] does.
-#[inline]
-fn rm_seed_material(seed: u64) -> (u128, u128) {
-    let mut sm = SplitMix64::new(seed);
-    let low = sm.next_u64() as u128;
-    let high = sm.next_u64() as u128;
-    ((high << 64) | low, (seed >> 63) as u128 & 1)
 }
 
 impl PlacementPolicy for RandomModuloPlacement {
@@ -1306,15 +1290,12 @@ impl PlacementPolicy for RandomModuloPlacement {
     fn set_index_of_line(&self, line: LineAddr) -> u32 {
         let modulo_index = self.geometry.modulo_index_of_line(line);
         let segment = self.geometry.segment_of_line(line);
-        let controls = self.control_word_for_segment(segment);
-        self.network.permute_bits(modulo_index, controls)
+        self.material.walk(&self.network, segment, modulo_index)
     }
 
     fn reseed(&mut self, seed: u64) {
         self.seed = seed;
-        // Expand the seed so networks needing more than 64 control bits
-        // (index widths above 11) still get full-entropy control material.
-        (self.seed_controls, self.seed_top_bit) = rm_seed_material(seed);
+        self.material = RmSeed::new(seed);
         // A new seed selects new per-segment permutations.
         self.memo.invalidate();
     }
@@ -1637,13 +1618,55 @@ mod tests {
         }
     }
 
+    /// `count` segments that all hash to the memo slot of `anchor`.
+    fn segments_sharing_a_slot(anchor: u64, count: usize) -> Vec<u64> {
+        (0..)
+            .filter(|&segment| rm_slot_of(segment) == rm_slot_of(anchor))
+            .take(count)
+            .collect()
+    }
+
+    /// `count` segments that all hash to distinct memo slots.
+    fn segments_in_distinct_slots(count: usize) -> Vec<u64> {
+        let mut taken = HashSet::new();
+        (0x40..)
+            .filter(|&segment| taken.insert(rm_slot_of(segment)))
+            .take(count)
+            .collect()
+    }
+
     #[test]
     fn rm_memoized_index_matches_the_pure_network_walk() {
-        // The per-segment LUT memo must be invisible: for any mix of
-        // lines (far more segments than memo slots, so slots are evicted
-        // and refilled constantly) and across reseeds (which must
-        // invalidate every slot), the cached path returns exactly what
-        // the pure Benes walk returns.
+        // The per-segment tables must be invisible.  For every index width
+        // the memo serves (0 to 12 bits, odd widths included) and one it
+        // does not (13 bits, the direct walk), every index of a segment
+        // stream that interleaves three segments sharing one slot with
+        // segments in their own slots, across reseeds (which must drop
+        // every slot), the cached path returns exactly what the pure Benes
+        // walk returns.
+        let mut stream = segments_sharing_a_slot(0x5EED, 3);
+        stream.extend(segments_in_distinct_slots(4));
+        stream.push(0x3_FFFF);
+        for bits in 0..=13u32 {
+            let geometry = CacheGeometry::new(1 << bits, 2, 32).unwrap();
+            let mut policy = RandomModuloPlacement::new(geometry);
+            for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
+                policy.reseed(seed);
+                for index in 0..geometry.sets() as u64 {
+                    for &segment in &stream {
+                        let line = LineAddr::new((segment << bits) | index);
+                        let pure = PlacementPolicy::set_index_of_line(&policy, line);
+                        assert_eq!(
+                            policy.set_index_of_line_cached(line),
+                            pure,
+                            "{bits}-bit memo diverged for line {line} under seed {seed:#x}"
+                        );
+                    }
+                }
+            }
+        }
+        // Random lines over thousands of segments: slots are evicted and
+        // refilled constantly.
         for geometry in [
             CacheGeometry::leon3_l1(),
             CacheGeometry::leon3_l2_partition(),
@@ -1654,17 +1677,51 @@ mod tests {
             for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
                 policy.reseed(seed);
                 for _ in 0..5_000 {
-                    // ~2^26 line space: thousands of distinct segments.
                     let line = LineAddr::new(sm.next_u64() & 0x3FF_FFFF);
                     let pure = PlacementPolicy::set_index_of_line(&policy, line);
-                    assert_eq!(
-                        policy.set_index_of_line_cached(line),
-                        pure,
-                        "memo diverged for line {line} under seed {seed:#x}"
-                    );
+                    assert_eq!(policy.set_index_of_line_cached(line), pure, "{line}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn rm_memo_routes_each_resident_segment_once() {
+        // After a reseed, reading every index of S segments in distinct
+        // slots costs exactly S network routes, in both memo forms, and
+        // re-reading them costs none.  Two segments sharing a slot cost one
+        // route per swap.
+        let geometry = CacheGeometry::leon3_l2_partition();
+        let segments = segments_in_distinct_slots(24);
+        let line = |segment: u64, index: u64| LineAddr::new((segment << 10) | index);
+        let mut policy = RandomModuloPlacement::new(geometry);
+        let mut bank = RandomModuloLanes::new(geometry, 3);
+        for seed in [7u64, 8] {
+            policy.reseed(seed);
+            for lane in 0..3 {
+                bank.reseed_lane(lane, seed + lane as u64);
+            }
+            for pass in 0..2 {
+                let (scalar_before, bank_before) = (policy.memo.routes, bank.memo.routes);
+                let mut out = [0u32; 3];
+                for &segment in &segments {
+                    for index in 0..geometry.sets() as u64 {
+                        policy.set_index_of_line_cached(line(segment, index));
+                        bank.index_lanes(line(segment, index), &mut out);
+                        bank.index_lane(1, line(segment, index));
+                    }
+                }
+                let expected = if pass == 0 { segments.len() as u64 } else { 0 };
+                assert_eq!(policy.memo.routes - scalar_before, expected, "seed {seed} pass {pass}");
+                assert_eq!(bank.memo.routes - bank_before, expected, "seed {seed} pass {pass}");
+            }
+        }
+        let pair = segments_sharing_a_slot(0, 2);
+        let before = policy.memo.routes;
+        for round in 0..10 {
+            policy.set_index_of_line_cached(line(pair[round % 2], 5));
+        }
+        assert_eq!(policy.memo.routes - before, 10);
     }
 
     #[test]
@@ -1737,9 +1794,11 @@ mod tests {
 
     #[test]
     fn lane_bank_matches_scalar_placements_per_lane() {
-        // Every lane of the wavefront bank must be bit-identical to a
-        // scalar Placement reseeded with the same value — for all four
-        // policies, partial waves, and the single-lane sparse path.
+        // Every lane of the wavefront bank must be bit-identical to the
+        // pure mapping of a scalar Placement reseeded with the same value
+        // (for RM, the Benes walk, not the memo the bank shares its table
+        // builder with) — for all four policies, partial waves, and the
+        // single-lane sparse path.
         for geometry in [CacheGeometry::leon3_l1(), CacheGeometry::leon3_l2_partition()] {
             for kind in PlacementKind::ALL {
                 for lanes in [1usize, 3, 8] {
@@ -1747,7 +1806,7 @@ mod tests {
                     assert_eq!(bank.lane_count(), lanes);
                     assert_eq!(bank.geometry(), geometry);
                     assert_eq!(bank.is_uniform(), !kind.is_randomized());
-                    let mut scalars: Vec<Placement> = (0..lanes)
+                    let scalars: Vec<Placement> = (0..lanes)
                         .map(|lane| {
                             let mut p = Placement::new(kind, geometry).unwrap();
                             let seed = (lane as u64) * 0x9E37_79B9 + 0xC0FFEE;
@@ -1762,17 +1821,17 @@ mod tests {
                         let line = LineAddr::new(sm.next_u64() & 0x3FF_FFFF);
                         let active = 1 + step % lanes;
                         bank.index_lanes(line, &mut out[..active]);
-                        for (lane, scalar) in scalars.iter_mut().take(active).enumerate() {
+                        for (lane, scalar) in scalars.iter().take(active).enumerate() {
                             assert_eq!(
                                 out[lane],
-                                scalar.set_index_of_line_mut(line),
+                                scalar.set_index_of_line(line),
                                 "{kind} lane {lane} of {lanes}"
                             );
                         }
                         let lone = step % lanes;
                         assert_eq!(
                             bank.index_lane(lone, line),
-                            scalars[lone].set_index_of_line_mut(line),
+                            scalars[lone].set_index_of_line(line),
                             "{kind} sparse lane {lone}"
                         );
                         if kind.is_randomized() {
@@ -1789,7 +1848,8 @@ mod tests {
     #[test]
     fn lane_bank_reseed_matches_scalar_reseed() {
         // Reseeding one lane mid-campaign (what every batch does) must
-        // leave the other lanes' mappings untouched and bit-identical.
+        // leave the other lanes' mappings untouched and bit-identical to
+        // the pure scalar mapping.
         let geometry = l1();
         for kind in [PlacementKind::HashRandom, PlacementKind::RandomModulo] {
             let mut bank = PlacementLanes::new(kind, geometry, 4).unwrap();
@@ -1808,11 +1868,15 @@ mod tests {
                 bank.reseed_lane(reseeded, seed);
                 scalars[reseeded].reseed(seed);
                 let mut out = [0u32; 4];
-                for _ in 0..200 {
-                    let line = LineAddr::new(sm.next_u64() & 0xFF_FFFF);
+                // Wide lines mostly miss the memos; the narrow ones (eight
+                // L1 segments) hit slots filled before the reseed, which
+                // the reseed must have dropped.
+                for step in 0..400 {
+                    let mask = if step % 2 == 0 { 0xFF_FFFF } else { 0x3FF };
+                    let line = LineAddr::new(sm.next_u64() & mask);
                     bank.index_lanes(line, &mut out);
-                    for (lane, scalar) in scalars.iter_mut().enumerate() {
-                        assert_eq!(out[lane], scalar.set_index_of_line_mut(line), "{kind}");
+                    for (lane, scalar) in scalars.iter().enumerate() {
+                        assert_eq!(out[lane], scalar.set_index_of_line(line), "{kind}");
                     }
                 }
             }
