@@ -140,13 +140,14 @@ const ENGINE_CRATES: [&str; 4] = [
 ];
 
 /// Hot-path modules: P1 (panic-freedom) applies, by file name.
-const HOT_PATH_FILES: [&str; 6] = [
+const HOT_PATH_FILES: [&str; 7] = [
     "placement.rs",
     "lanes.rs",
     "contention.rs",
     "checkpoint.rs",
     "packed.rs",
     "wire.rs",
+    "builder.rs",
 ];
 
 /// Codec/fingerprint modules: C1 (cast audit) applies, by file name.

@@ -168,6 +168,22 @@ fn p1_flags_slice_indexing_but_not_types_attributes_or_literals() {
 }
 
 #[test]
+fn p1_covers_the_kernel_builder() {
+    // The pointer chase as it once indexed its traversal order: trace
+    // emission is a hot layer, so the builder must iterate instead.
+    let src = r#"
+        pub fn pointer_chase(&mut self, order: Vec<u64>, steps: u64) {
+            for position in 0..steps {
+                let node = order[(position % order.len() as u64) as usize];
+                self.load(node);
+            }
+        }
+    "#;
+    let outcome = scan("crates/workloads/src/builder.rs", src);
+    assert_eq!(rule_ids(&outcome), vec![RuleId::P1], "{outcome:?}");
+}
+
+#[test]
 fn p1_does_not_apply_outside_hot_path_modules() {
     let src = "fn f(v: Vec<u32>) -> u32 { v[0] + v.first().unwrap() }";
     let outcome = scan(ENGINE, src);
@@ -309,6 +325,10 @@ fn classification_matches_the_documented_scopes() {
 
     let wire = classify("crates/sim/src/wire.rs").unwrap();
     assert!(wire.codec && wire.hot_path);
+
+    // Trace emission is a measured hot layer: panic-free, but no codec.
+    let builder = classify("crates/workloads/src/builder.rs").unwrap();
+    assert!(builder.engine && builder.hot_path && !builder.codec);
 
     assert!(classify("crates/sim/tests/shards.rs").is_none(), "test trees are skipped");
     assert!(classify("crates/core/benches/probe.rs").is_none());

@@ -20,11 +20,16 @@
 //! round-trip too) and the cycle count for compute intervals.  Decoding is
 //! a shift and a 4-way match, done on the fly by [`PackedEvents`]; no
 //! intermediate `Vec<MemEvent>` is ever materialised during replay.
+//!
+//! Encoding is a shift and an or, so a strided run of one access kind is
+//! an arithmetic sequence of words: [`PackedTrace`]'s
+//! [`EventSink::emit_run`] writes it in one tight loop instead of one
+//! `push` per event.
 
 use crate::checkpoint::{atomic_write, fnv1a};
-use crate::trace::{EventSink, EventSource, MemEvent, Trace};
+use crate::trace::{run_events, EventSink, EventSource, MemEvent, Trace};
 use crate::wire::le_u64;
-use randmod_core::Address;
+use randmod_core::{AccessKind, Address};
 use std::fmt;
 use std::path::Path;
 
@@ -131,6 +136,25 @@ impl PackedTrace {
         self.words.is_empty()
     }
 
+    /// Grows the capacity to hold `additional` more words the way repeated
+    /// [`Self::push`] does — doubling, from a minimum of four — so a trace
+    /// built from runs holds exactly the heap of the same events pushed one
+    /// by one, never a run-sized capacity.
+    fn reserve_doubling(&mut self, additional: usize) {
+        let len = self.words.len();
+        let needed = len.saturating_add(additional);
+        let mut capacity = self.words.capacity();
+        while capacity < needed {
+            capacity = capacity.saturating_mul(2).max(4);
+        }
+        self.words.reserve_exact(capacity - len);
+    }
+
+    /// The encoded words, one per event, in program order.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Bytes of heap memory holding the encoded events (8 per event).
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -158,6 +182,34 @@ impl PackedTrace {
 impl EventSink for PackedTrace {
     fn emit(&mut self, event: MemEvent) {
         self.push(event);
+    }
+
+    /// Writes the run as an arithmetic sequence of words in one loop.  A
+    /// run that would pass [`MAX_PAYLOAD`], or whose address arithmetic
+    /// overflows, goes through per-event [`PackedTrace::push`] instead, so
+    /// it panics exactly where and as `push` does.
+    fn emit_run(&mut self, kind: AccessKind, start: Address, count: u64, stride: u64) {
+        let last = count
+            .saturating_sub(1)
+            .checked_mul(stride)
+            .and_then(|delta| start.raw().checked_add(delta));
+        match (last, usize::try_from(count)) {
+            (Some(last), Ok(len)) if last <= MAX_PAYLOAD => {
+                self.reserve_doubling(len);
+                // Every address of the run is at most `last`, so each word
+                // `(addr << 2) | tag` is `first + i * step` with no
+                // overflow (a one-event run, whose stride may be anything,
+                // only ever multiplies `step` by zero).
+                let first = encode(MemEvent::access(kind, start));
+                let step = stride << 2;
+                self.words.extend((0..count).map(|i| first + i * step));
+            }
+            _ => {
+                for event in run_events(kind, start, count, stride) {
+                    self.push(event);
+                }
+            }
+        }
     }
 }
 
@@ -473,6 +525,132 @@ mod tests {
         boxed.compute(5);
         boxed.compute(0);
         assert_eq!(packed.to_trace(), boxed);
+    }
+
+    /// The same run pushed one event at a time: the reference the run
+    /// path must match word for word.
+    fn pushed_run(kind: AccessKind, start: u64, count: u64, stride: u64) -> PackedTrace {
+        let mut packed = PackedTrace::new();
+        for i in 0..count {
+            packed.push(MemEvent::access(kind, Address::new(start + i * stride)));
+        }
+        packed
+    }
+
+    #[test]
+    fn runs_match_per_event_pushes_word_for_word() {
+        for kind in [
+            AccessKind::InstructionFetch,
+            AccessKind::Load,
+            AccessKind::Store,
+        ] {
+            for (start, count, stride) in
+                [(0x4000_0000, 37, 4), (0x10_0003, 5, 32), (0, 1, 1 << 63)]
+            {
+                let mut packed = PackedTrace::new();
+                packed.emit_run(kind, Address::new(start), count, stride);
+                assert_eq!(
+                    packed.words(),
+                    pushed_run(kind, start, count, stride).words()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_run_emits_nothing_and_keeps_capacity() {
+        let mut packed = PackedTrace::new();
+        packed.emit_run(AccessKind::Load, Address::new(0x2000), 0, 4);
+        // Even a start beyond the payload range is fine when nothing is
+        // emitted: push is never asked to encode it.
+        packed.emit_run(AccessKind::Load, Address::new(u64::MAX), 0, u64::MAX);
+        assert!(packed.is_empty());
+        assert_eq!(packed.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn zero_stride_repeats_the_start_address() {
+        let mut packed = PackedTrace::new();
+        packed.emit_run(AccessKind::Store, Address::new(0x3000), 6, 0);
+        assert_eq!(packed.len(), 6);
+        assert!(packed
+            .iter()
+            .all(|e| e == MemEvent::Store(Address::new(0x3000))));
+        assert_eq!(packed, pushed_run(AccessKind::Store, 0x3000, 6, 0));
+    }
+
+    #[test]
+    fn run_ending_exactly_at_max_payload_is_encoded() {
+        let start = MAX_PAYLOAD - 3 * 4;
+        let mut packed = PackedTrace::new();
+        packed.emit_run(AccessKind::Load, Address::new(start), 4, 4);
+        assert_eq!(
+            packed.iter().last(),
+            Some(MemEvent::Load(Address::new(MAX_PAYLOAD)))
+        );
+        assert_eq!(packed, pushed_run(AccessKind::Load, start, 4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "62-bit packed-trace range")]
+    fn run_crossing_max_payload_panics_as_push_does() {
+        PackedTrace::new().emit_run(AccessKind::Load, Address::new(MAX_PAYLOAD - 8), 4, 4);
+    }
+
+    #[test]
+    fn run_crossing_max_payload_keeps_the_events_before_it() {
+        let mut packed = PackedTrace::new();
+        let start = Address::new(MAX_PAYLOAD - 8);
+        let crossed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            packed.emit_run(AccessKind::Store, start, 4, 4);
+        }));
+        assert!(crossed.is_err());
+        // Exactly the in-range prefix was pushed, as per-event pushes do.
+        assert_eq!(packed, pushed_run(AccessKind::Store, start.raw(), 3, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn run_whose_addresses_overflow_u64_panics_instead_of_wrapping() {
+        // Wrapping would yield `start - 4`, an address inside the payload
+        // range; the run must stop instead.
+        PackedTrace::new().emit_run(AccessKind::Load, Address::new(0x1000), 2, u64::MAX - 3);
+    }
+
+    #[test]
+    fn run_capacity_grows_as_per_event_pushes_do() {
+        let runs = [
+            (3, 4),
+            (1, 0),
+            (17, 4),
+            (200, 32),
+            (5, 8),
+            (1000, 4),
+            (0, 4),
+        ];
+        for initial in [0, 3, 64] {
+            let mut by_runs = PackedTrace::with_capacity(initial);
+            let mut by_push = PackedTrace::with_capacity(initial);
+            let mut start = 0x4000_0000;
+            for (count, stride) in runs {
+                by_runs.emit_run(
+                    AccessKind::InstructionFetch,
+                    Address::new(start),
+                    count,
+                    stride,
+                );
+                for i in 0..count {
+                    by_push.push(MemEvent::InstrFetch(Address::new(start + i * stride)));
+                }
+                start += 0x1_0000;
+                assert_eq!(by_runs, by_push);
+                assert_eq!(
+                    by_runs.heap_bytes(),
+                    by_push.heap_bytes(),
+                    "initial capacity {initial}"
+                );
+            }
+        }
     }
 
     #[test]

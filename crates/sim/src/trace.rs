@@ -8,15 +8,17 @@
 //!
 //! Two abstractions decouple generation from replay:
 //!
-//! * [`EventSink`] — where a generator *writes* events.  Implemented by the
-//!   boxed [`Trace`] (`Vec<MemEvent>`, 16 bytes/event), by the packed
-//!   [`crate::packed::PackedTrace`] (8 bytes/event) and by [`SinkFn`]
-//!   (constant memory — count, summarise or filter without storing).
+//! * [`EventSink`] — where a generator *writes* events, one at a time or
+//!   as a strided run of one access kind ([`EventSink::emit_run`]).
+//!   Implemented by the boxed [`Trace`] (`Vec<MemEvent>`, 16 bytes/event),
+//!   by the packed [`crate::packed::PackedTrace`] (8 bytes/event) and by
+//!   [`SinkFn`] (constant memory — count, summarise or filter without
+//!   storing).
 //! * [`EventSource`] — where a replay *reads* events.  A source hands out a
 //!   fresh iterator per run, which is what lets one shared trace feed the
 //!   parallel runs of a [`crate::run::Campaign`] without being cloned.
 
-use randmod_core::Address;
+use randmod_core::{AccessKind, Address};
 use std::fmt;
 
 /// One event of a program trace.
@@ -33,6 +35,15 @@ pub enum MemEvent {
 }
 
 impl MemEvent {
+    /// The memory access of the given kind at `addr`.
+    pub(crate) const fn access(kind: AccessKind, addr: Address) -> MemEvent {
+        match kind {
+            AccessKind::InstructionFetch => MemEvent::InstrFetch(addr),
+            AccessKind::Load => MemEvent::Load(addr),
+            AccessKind::Store => MemEvent::Store(addr),
+        }
+    }
+
     /// The address this event touches, if any.
     pub fn address(&self) -> Option<Address> {
         match self {
@@ -53,9 +64,46 @@ impl MemEvent {
 /// materialised `Vec`, so the same generator code can fill a boxed
 /// [`Trace`], a packed [`crate::packed::PackedTrace`] or a constant-memory
 /// [`SinkFn`].
+///
+/// Most of a program trace is strided runs — straight-line code, loop
+/// bodies, array sweeps, stack spills — so besides the per-event
+/// [`EventSink::emit`] a sink accepts a whole run of one access kind in
+/// one call, [`EventSink::emit_run`].  Its provided implementation loops
+/// over `emit`; [`crate::packed::PackedTrace`] overrides it with a tight
+/// word-writing loop.  Either way the sink receives the same events:
+///
+/// ```
+/// use randmod_core::{AccessKind, Address};
+/// use randmod_sim::trace::{EventSink, MemEvent, SinkFn};
+/// use randmod_sim::PackedTrace;
+///
+/// let start = Address::new(0x4000_0000);
+/// let mut one_by_one = Vec::new();
+/// SinkFn(|event: MemEvent| one_by_one.push(event)).emit_run(AccessKind::Load, start, 8, 32);
+/// let mut packed = PackedTrace::new();
+/// packed.emit_run(AccessKind::Load, start, 8, 32);
+/// assert_eq!(packed.iter().collect::<Vec<_>>(), one_by_one);
+/// assert_eq!(one_by_one[7], MemEvent::Load(Address::new(0x4000_0000 + 7 * 32)));
+/// ```
 pub trait EventSink {
     /// Receives one event.
     fn emit(&mut self, event: MemEvent);
+
+    /// Emits `count` accesses of one `kind`, the `i`-th at
+    /// `start + i * stride`, in order — the same events as `count` calls
+    /// of [`EventSink::emit`].  A `count` of zero emits nothing; a `stride`
+    /// of zero repeats `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an address of the run overflows `u64` (after emitting the
+    /// events before it); sinks that bound their addresses, such as
+    /// [`crate::packed::PackedTrace`], panic as their per-event path does.
+    fn emit_run(&mut self, kind: AccessKind, start: Address, count: u64, stride: u64) {
+        for event in run_events(kind, start, count, stride) {
+            self.emit(event);
+        }
+    }
 
     /// Emits an instruction fetch.
     fn fetch(&mut self, addr: Address) {
@@ -78,6 +126,30 @@ pub trait EventSink {
             self.emit(MemEvent::Compute(cycles));
         }
     }
+}
+
+/// The events of a strided run, in order: the specification
+/// [`EventSink::emit_run`] implementations agree with.
+///
+/// # Panics
+///
+/// The iterator panics when it reaches an address that overflows `u64`,
+/// rather than wrapping around the address space.
+pub(crate) fn run_events(
+    kind: AccessKind,
+    start: Address,
+    count: u64,
+    stride: u64,
+) -> impl Iterator<Item = MemEvent> {
+    (0..count).map(move |i| {
+        let addr = i
+            .checked_mul(stride)
+            .and_then(|delta| start.raw().checked_add(delta))
+            .unwrap_or_else(|| {
+                panic!("strided run address {start} + {i} x {stride:#x} overflows u64")
+            });
+        MemEvent::access(kind, Address::new(addr))
+    })
 }
 
 impl EventSink for Trace {
@@ -469,6 +541,28 @@ mod tests {
         assert_eq!(collected.len(), 3);
         let owned: Vec<MemEvent> = t.into_iter().collect();
         assert_eq!(owned.len(), 3);
+    }
+
+    #[test]
+    fn default_run_emits_one_event_per_step() {
+        let mut t = Trace::new();
+        t.emit_run(AccessKind::InstructionFetch, Address::new(0x1000), 3, 4);
+        t.emit_run(AccessKind::Store, Address::new(0x8000), 0, 4);
+        t.emit_run(AccessKind::Load, Address::new(0x8000), 2, 0);
+        let expected = [
+            MemEvent::InstrFetch(Address::new(0x1000)),
+            MemEvent::InstrFetch(Address::new(0x1004)),
+            MemEvent::InstrFetch(Address::new(0x1008)),
+            MemEvent::Load(Address::new(0x8000)),
+            MemEvent::Load(Address::new(0x8000)),
+        ];
+        assert_eq!(t.events(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn default_run_panics_instead_of_wrapping() {
+        Vec::<MemEvent>::new().emit_run(AccessKind::Load, Address::new(8), 2, u64::MAX);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! [`crate::eembc`] and the synthetic kernel of [`crate::synthetic`] are
 //! thin compositions of these patterns.
 //!
+//! Every pattern that is a strided run of one access kind — straight-line
+//! code, a loop body's fetches, sequential loads and stores, a stack
+//! frame's spill and reload, the matrix sweeps — reaches the sink as one
+//! [`EventSink::emit_run`] call, which a packed sink turns into one tight
+//! word-writing loop.  Only the patterns with a data-dependent address per
+//! event ([`KernelBuilder::table_lookups`], [`KernelBuilder::pointer_chase`])
+//! and compute intervals go through the sink one event at a time.
+//!
 //! All "random" choices inside a kernel (table indices, pointer-chase
 //! permutations) are drawn from a [`SplitMix64`] stream seeded per kernel, so
 //! a kernel's trace is a pure function of the kernel parameters and the
@@ -16,7 +24,7 @@
 
 use crate::layout::MemoryLayout;
 use randmod_core::prng::SplitMix64;
-use randmod_core::Address;
+use randmod_core::{AccessKind, Address};
 use randmod_sim::trace::EventSink;
 use randmod_sim::MemEvent;
 
@@ -78,6 +86,16 @@ impl<'a> KernelBuilder<'a> {
         self.emitted += 1;
     }
 
+    /// Emits `count` accesses of one kind, `stride` bytes apart from
+    /// `start`, as one sink call.
+    fn emit_run(&mut self, kind: AccessKind, start: Address, count: u64, stride: u64) {
+        self.sink.emit_run(kind, start, count, stride);
+        // Saturates rather than truncates where `usize` is narrower than
+        // `u64`.
+        let count = usize::try_from(count).unwrap_or(usize::MAX);
+        self.emitted = self.emitted.saturating_add(count);
+    }
+
     fn code_addr(&self, offset: u64) -> Address {
         self.layout.code_base.offset(offset)
     }
@@ -93,11 +111,9 @@ impl<'a> KernelBuilder<'a> {
     /// Emits `instructions` sequential instruction fetches, advancing the
     /// code cursor (straight-line code).
     pub fn straight_code(&mut self, instructions: u64) {
-        for _ in 0..instructions {
-            let addr = self.code_addr(self.code_cursor);
-            self.emit(MemEvent::InstrFetch(addr));
-            self.code_cursor += WORD;
-        }
+        let start = self.code_addr(self.code_cursor);
+        self.emit_run(AccessKind::InstructionFetch, start, instructions, WORD);
+        self.code_cursor += instructions * WORD;
     }
 
     /// Emits a loop: `iterations` passes over a body of `body_instructions`
@@ -110,11 +126,7 @@ impl<'a> KernelBuilder<'a> {
         let loop_start = self.code_cursor;
         for iteration in 0..iterations {
             self.code_cursor = loop_start;
-            for _ in 0..body_instructions {
-                let addr = self.code_addr(self.code_cursor);
-                self.emit(MemEvent::InstrFetch(addr));
-                self.code_cursor += WORD;
-            }
+            self.straight_code(body_instructions);
             body(self, iteration);
         }
     }
@@ -122,19 +134,15 @@ impl<'a> KernelBuilder<'a> {
     /// Emits `count` loads from the data region starting at `offset` with
     /// the given byte `stride`.
     pub fn sequential_loads(&mut self, offset: u64, count: u64, stride: u64) {
-        for i in 0..count {
-            let addr = self.data_addr(offset + i * stride);
-            self.emit(MemEvent::Load(addr));
-        }
+        let start = self.data_addr(offset);
+        self.emit_run(AccessKind::Load, start, count, stride);
     }
 
     /// Emits `count` stores to the data region starting at `offset` with the
     /// given byte `stride`.
     pub fn sequential_stores(&mut self, offset: u64, count: u64, stride: u64) {
-        for i in 0..count {
-            let addr = self.data_addr(offset + i * stride);
-            self.emit(MemEvent::Store(addr));
-        }
+        let start = self.data_addr(offset);
+        self.emit_run(AccessKind::Store, start, count, stride);
     }
 
     /// Emits `lookups` loads at pseudo-random word-aligned positions inside
@@ -161,8 +169,7 @@ impl<'a> KernelBuilder<'a> {
             let j = (self.rng.next_u64() % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        for position in 0..steps {
-            let node = order[(position % order.len() as u64) as usize];
+        for (&node, _) in order.iter().cycle().zip(0..steps) {
             let addr = self.data_addr(offset + node * node_bytes);
             self.emit(MemEvent::Load(addr));
         }
@@ -172,15 +179,9 @@ impl<'a> KernelBuilder<'a> {
     /// entry) followed by `words` loads (reload at return) within a frame at
     /// the given depth (frames are 64 bytes apart).
     pub fn stack_frame(&mut self, depth: u64, words: u64) {
-        let frame = depth * 64;
-        for w in 0..words {
-            let addr = self.stack_addr(frame + w * WORD);
-            self.emit(MemEvent::Store(addr));
-        }
-        for w in 0..words {
-            let addr = self.stack_addr(frame + w * WORD);
-            self.emit(MemEvent::Load(addr));
-        }
+        let frame = self.stack_addr(depth * 64);
+        self.emit_run(AccessKind::Store, frame, words, WORD);
+        self.emit_run(AccessKind::Load, frame, words, WORD);
     }
 
     /// Emits `cycles` of pure computation.
@@ -193,12 +194,8 @@ impl<'a> KernelBuilder<'a> {
     /// Emits a row-major sweep over a `rows x cols` matrix of 4-byte
     /// elements located at `offset`, loading each element once.
     pub fn matrix_row_major(&mut self, offset: u64, rows: u64, cols: u64) {
-        for r in 0..rows {
-            for c in 0..cols {
-                let addr = self.data_addr(offset + (r * cols + c) * WORD);
-                self.emit(MemEvent::Load(addr));
-            }
-        }
+        let start = self.data_addr(offset);
+        self.emit_run(AccessKind::Load, start, rows * cols, WORD);
     }
 
     /// Emits a column-major sweep over a `rows x cols` matrix of 4-byte
@@ -206,10 +203,8 @@ impl<'a> KernelBuilder<'a> {
     /// cache's placement), storing each element once.
     pub fn matrix_col_major_store(&mut self, offset: u64, rows: u64, cols: u64) {
         for c in 0..cols {
-            for r in 0..rows {
-                let addr = self.data_addr(offset + (r * cols + c) * WORD);
-                self.emit(MemEvent::Store(addr));
-            }
+            let start = self.data_addr(offset + c * WORD);
+            self.emit_run(AccessKind::Store, start, rows, cols * WORD);
         }
     }
 }

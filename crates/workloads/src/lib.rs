@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[warn(clippy::unwrap_used, clippy::expect_used)]
 pub mod builder;
 pub mod coschedule;
 pub mod eembc;
