@@ -3,8 +3,8 @@
 //! Replays the `fig6_contention` victim (the 20KB synthetic kernel)
 //! co-scheduled against the stress opponent ladder through
 //! [`Campaign::run_contended`], on one worker thread, once per
-//! arbitration policy per pressure level.  Both policies run the scalar
-//! per-seed `ContentionCore`, the one contended engine.
+//! arbitration policy per pressure level.  Both policies run
+//! `ContentionCore`, the one contended engine, once per seed.
 //!
 //! Before timing anything the bench asserts two gates, so it doubles as
 //! the CI smoke check of the contended campaign's defining invariants: a

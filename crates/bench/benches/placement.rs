@@ -3,7 +3,7 @@
 //! critical path that `randmod-hwcost` models in hardware).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use randmod_core::{Address, CacheGeometry, LineAddr, Placement, PlacementKind};
+use randmod_core::{Address, CacheGeometry, LineAddr, PlacementKind, PlacementLanes};
 use std::hint::black_box;
 
 fn placement_throughput(c: &mut Criterion) {
@@ -69,16 +69,20 @@ fn contended_l2_lines(geometry: CacheGeometry) -> Vec<LineAddr> {
 fn contended_rm_stream(c: &mut Criterion) {
     let geometry = CacheGeometry::leon3_l2_partition();
     let lines = contended_l2_lines(geometry);
+    // One lane: the placement stage of the contended engine's one-lane
+    // shared-L2 bank.
     let mut placement =
-        Placement::new(PlacementKind::RandomModulo, geometry).expect("valid geometry");
-    // Gate: the memoized path the cache models take must equal the pure
+        PlacementLanes::new(PlacementKind::RandomModulo, geometry, 1).expect("valid geometry");
+    let mut pure = PlacementKind::RandomModulo.build(geometry).expect("valid geometry");
+    // Gate: the memoized path the cache bank takes must equal the pure
     // network walk before its speed means anything.
     for seed in [0xBEEF_u64, 0xBEF0] {
-        placement.reseed(seed);
+        placement.reseed_lane(0, seed);
+        pure.reseed(seed);
         for &line in &lines {
             assert_eq!(
-                placement.set_index_of_line_mut(line),
-                placement.set_index_of_line(line),
+                placement.index_lane(0, line),
+                pure.set_index_of_line(line),
                 "RM memo diverged from the network walk for {line} under seed {seed:#x}"
             );
         }
@@ -93,10 +97,10 @@ fn contended_rm_stream(c: &mut Criterion) {
         |b, lines| {
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                placement.reseed(seed);
+                placement.reseed_lane(0, seed);
                 let mut acc = 0u32;
                 for &line in lines {
-                    acc = acc.wrapping_add(placement.set_index_of_line_mut(black_box(line)));
+                    acc = acc.wrapping_add(placement.index_lane(0, black_box(line)));
                 }
                 black_box(acc)
             })

@@ -4,21 +4,24 @@
 //! hits, misses, evictions and write-backs.  Timing (hit/miss latencies,
 //! multi-level hierarchies) is layered on top by `randmod-sim`.
 //!
+//! [`SetAssocCacheLanes`] is the one cache implementation: a bank of K
+//! per-seed caches (K = 1 for a single cache) that every engine drives.
 //! Two aspects mirror the paper's hardware discussion:
 //!
 //! * **Seed changes flush the cache.**  Every new seed selects a new cache
-//!   layout, so resident contents become unreachable; [`SetAssocCache::reseed`]
-//!   therefore invalidates everything, like the real design.
+//!   layout, so resident contents become unreachable;
+//!   [`SetAssocCacheLanes::reseed_wave`] therefore invalidates everything,
+//!   like the real design.
 //! * **Index storage in the tag array.**  With hRP the set a line sits in is
 //!   not recoverable from its tag, so the index bits must be stored with the
 //!   tag (extra area, modelled in `randmod-hwcost`).  The functional model
 //!   stores the full line address for all policies so hit/miss behaviour is
 //!   exact regardless of policy.
 
-use crate::address::{Address, CacheGeometry, LineAddr};
+use crate::address::{CacheGeometry, LineAddr};
 use crate::error::ConfigError;
-use crate::placement::{Placement, PlacementKind, PlacementLanes, PlacementPolicy};
-use crate::prng::{CombinedLfsr, CombinedLfsrLanes};
+use crate::placement::{PlacementKind, PlacementLanes};
+use crate::prng::CombinedLfsrLanes;
 use crate::replacement::{ReplacementKind, ReplacementState};
 use std::fmt;
 
@@ -52,57 +55,6 @@ pub enum WritePolicy {
     WriteThrough,
     /// Stores dirty the line; dirty victims are written back on eviction.
     WriteBack,
-}
-
-/// A line evicted by a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictedLine {
-    /// The line address that was evicted.
-    pub line: LineAddr,
-    /// Whether the line was dirty (requires a write-back on a write-back
-    /// cache).
-    pub dirty: bool,
-}
-
-/// Result of a single cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// The line was resident.
-    Hit {
-        /// The way it was found in.
-        way: u32,
-    },
-    /// The line was not resident.
-    Miss {
-        /// Whether the line was brought into the cache (write-through
-        /// store misses do not allocate).
-        allocated: bool,
-        /// The line that was displaced, if any.
-        evicted: Option<EvictedLine>,
-    },
-}
-
-impl AccessOutcome {
-    /// Whether the access hit.
-    pub const fn is_hit(&self) -> bool {
-        matches!(self, AccessOutcome::Hit { .. })
-    }
-
-    /// Whether the access missed.
-    pub const fn is_miss(&self) -> bool {
-        !self.is_hit()
-    }
-
-    /// Whether the access caused a dirty eviction (a write-back).
-    pub fn caused_writeback(&self) -> bool {
-        matches!(
-            self,
-            AccessOutcome::Miss {
-                evicted: Some(EvictedLine { dirty: true, .. }),
-                ..
-            }
-        )
-    }
 }
 
 /// Hit/miss statistics accumulated by a cache.
@@ -178,10 +130,9 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Compact outcome of a [`SetAssocCache::access_lean`] call: the same
-/// information as [`AccessOutcome`] minus the evicted line address, packed
-/// into one byte so batched replay lanes can accumulate statistics with
-/// branch-free adds.
+/// Compact outcome of one cache access: hit, fill, eviction and
+/// write-back packed into one byte, so replay lanes can accumulate
+/// statistics with branch-free adds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessFlags(u8);
 
@@ -228,13 +179,6 @@ impl AccessFlags {
 /// never be a real line.
 const INVALID_TAG: u64 = u64::MAX;
 
-/// Raw outcome of the shared access path: flags plus the way used and the
-/// displaced line (when any).
-struct RawAccess {
-    flags: AccessFlags,
-    way: u32,
-    evicted: Option<EvictedLine>,
-}
 
 #[inline]
 fn bit_get(words: &[u64], index: usize) -> bool {
@@ -251,385 +195,26 @@ fn bit_clear(words: &mut [u64], index: usize) {
     words[index >> 6] &= !(1 << (index & 63));
 }
 
-/// A set-associative cache with pluggable placement and replacement.
-///
-/// ```
-/// use randmod_core::{CacheGeometry, Address, PlacementKind, ReplacementKind};
-/// use randmod_core::cache::{SetAssocCache, AccessKind, WritePolicy};
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut cache = SetAssocCache::with_kinds(
-///     CacheGeometry::leon3_l1(),
-///     PlacementKind::RandomModulo,
-///     ReplacementKind::Random,
-///     WritePolicy::WriteThrough,
-/// )?;
-/// cache.reseed(7);
-/// assert!(cache.access(Address::new(0x100), AccessKind::Load).is_miss());
-/// assert!(cache.access(Address::new(0x100), AccessKind::Load).is_hit());
-/// assert_eq!(cache.stats().misses, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SetAssocCache {
-    geometry: CacheGeometry,
-    placement: Placement,
-    write_policy: WritePolicy,
-    /// Associativity, cached as `usize` for the indexing hot path.
-    ways: usize,
-    /// Flat tag array: `tags[set * ways + way]` holds the resident line
-    /// address, or [`INVALID_TAG`] for an empty way.  One L1's worth fits
-    /// in a few KiB of contiguous memory.
-    tags: Vec<u64>,
-    /// Packed valid bits, one per line (mirrors `tags != INVALID_TAG`;
-    /// kept for cheap occupancy queries).
-    valid: Vec<u64>,
-    /// Packed dirty bits, one per line.
-    dirty: Vec<u64>,
-    /// Flat replacement state for every set.
-    replacement: ReplacementState,
-    rng: CombinedLfsr,
-    stats: CacheStats,
-    /// Most-recently-read line, the one-compare fast path for the common
-    /// same-line run of instruction fetches and sequential loads.  Pinned
-    /// to [`INVALID_TAG`] (never matches) unless replacement is Random:
-    /// under random replacement a read hit changes no cache state (`touch`
-    /// is a no-op and reads never dirty a line), so short-circuiting the
-    /// repeat hit is state- and outcome-identical.  LRU and round-robin
-    /// must re-rank on every hit and always take the full path.
-    mru_line: u64,
-    /// Flat tag index of the MRU line (validated against `tags` on use, so
-    /// an eviction of the MRU line simply falls back to the full probe).
-    mru_index: usize,
-    /// Way of the MRU line within its set.
-    mru_way: u32,
-    /// Whether the MRU fast path may be armed (replacement is Random).
-    mru_enabled: bool,
-}
-
-impl SetAssocCache {
-    /// Creates a cache from an already-built boxed placement policy (the
-    /// extension point for policies implemented outside this crate; the
-    /// built-in policies go through [`Self::with_kinds`] or
-    /// [`Self::with_placement`] and are statically dispatched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement policy was built for a different geometry.
-    pub fn new(
-        geometry: CacheGeometry,
-        placement: Box<dyn PlacementPolicy>,
-        replacement: ReplacementKind,
-        write_policy: WritePolicy,
-    ) -> Self {
-        Self::with_placement(geometry, Placement::from(placement), replacement, write_policy)
-    }
-
-    /// Creates a cache from a statically dispatched [`Placement`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement policy was built for a different geometry.
-    pub fn with_placement(
-        geometry: CacheGeometry,
-        placement: Placement,
-        replacement: ReplacementKind,
-        write_policy: WritePolicy,
-    ) -> Self {
-        assert_eq!(
-            placement.geometry(),
-            geometry,
-            "placement policy geometry does not match the cache geometry"
-        );
-        let lines = geometry.sets() as usize * geometry.ways() as usize;
-        let words = lines.div_ceil(64);
-        SetAssocCache {
-            geometry,
-            placement,
-            write_policy,
-            ways: geometry.ways() as usize,
-            tags: vec![INVALID_TAG; lines],
-            valid: vec![0; words],
-            dirty: vec![0; words],
-            replacement: ReplacementState::new(replacement, geometry.sets(), geometry.ways()),
-            rng: CombinedLfsr::new(0),
-            stats: CacheStats::default(),
-            mru_line: INVALID_TAG,
-            mru_index: 0,
-            mru_way: 0,
-            mru_enabled: replacement == ReplacementKind::Random,
-        }
-    }
-
-    /// Creates a cache from policy identifiers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the placement policy cannot be built for
-    /// this geometry.
-    pub fn with_kinds(
-        geometry: CacheGeometry,
-        placement: PlacementKind,
-        replacement: ReplacementKind,
-        write_policy: WritePolicy,
-    ) -> Result<Self, ConfigError> {
-        Ok(Self::with_placement(
-            geometry,
-            Placement::new(placement, geometry)?,
-            replacement,
-            write_policy,
-        ))
-    }
-
-    /// The cache geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
-    /// The placement policy in use.
-    pub fn placement(&self) -> &dyn PlacementPolicy {
-        self.placement.as_dyn()
-    }
-
-    /// The write policy in use.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.write_policy
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Clears the statistics (the contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Installs a new placement seed and flushes the contents, as the
-    /// hardware does on a seed change.
-    pub fn reseed(&mut self, seed: u64) {
-        self.placement.reseed(seed);
-        self.rng = CombinedLfsr::new(seed ^ 0x5EED_5EED_5EED_5EED);
-        self.flush();
-    }
-
-    /// Invalidates every line (dirty contents are discarded; the caller is
-    /// responsible for modelling any write-back traffic if needed).
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.valid.fill(0);
-        self.dirty.fill(0);
-        self.replacement.reset();
-        self.mru_line = INVALID_TAG;
-        self.stats.flushes += 1;
-    }
-
-    /// Checks whether the line holding `addr` is resident, without updating
-    /// any state or statistics.
-    pub fn contains(&self, addr: Address) -> bool {
-        let line = self.geometry.line_addr(addr);
-        let base = self.placement.set_index_of_line(line) as usize * self.ways;
-        self.tags[base..base + self.ways].contains(&line.raw())
-    }
-
-    /// Number of valid lines currently resident in set `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= sets`.
-    pub fn set_occupancy(&self, index: u32) -> u32 {
-        assert!(index < self.geometry.sets(), "set index out of range");
-        let base = index as usize * self.ways;
-        (base..base + self.ways)
-            .filter(|&i| bit_get(&self.valid, i))
-            .count() as u32
-    }
-
-    /// The shared access path: probes the set in a single pass (recording
-    /// the first invalid way while looking for a hit), fills on an
-    /// allocating miss, and reports what happened — without touching the
-    /// statistics.
-    #[inline]
-    fn access_raw(&mut self, line: LineAddr, is_write: bool) -> RawAccess {
-        debug_assert_ne!(
-            line.raw(),
-            INVALID_TAG,
-            "line address collides with the invalid-tag sentinel"
-        );
-        let raw = line.raw();
-
-        // Fast path: a repeat read of the most-recently-read line.  Armed
-        // only under Random replacement, where a read hit mutates no state;
-        // the tag re-check makes an interleaved eviction fall back to the
-        // full probe.
-        if raw == self.mru_line && self.tags[self.mru_index] == raw && !is_write {
-            return RawAccess {
-                flags: AccessFlags(AccessFlags::HIT),
-                way: self.mru_way,
-                evicted: None,
-            };
-        }
-
-        let set = self.placement.set_index_of_line_mut(line);
-        let base = set as usize * self.ways;
-
-        // One pass over the ways: probe for a hit and remember the first
-        // invalid way for a potential fill.  Invalid ways hold the sentinel,
-        // which never equals a real line address, so hit detection needs no
-        // separate valid check.
-        let mut invalid_way = usize::MAX;
-        let mut hit_way = usize::MAX;
-        for (way, &tag) in self.tags[base..base + self.ways].iter().enumerate() {
-            if tag == raw {
-                hit_way = way;
-                break;
-            }
-            if tag == INVALID_TAG && invalid_way == usize::MAX {
-                invalid_way = way;
-            }
-        }
-
-        if hit_way != usize::MAX {
-            self.replacement.touch(set, hit_way as u32);
-            if is_write && self.write_policy == WritePolicy::WriteBack {
-                bit_set(&mut self.dirty, base + hit_way);
-            }
-            if self.mru_enabled && !is_write {
-                self.mru_line = raw;
-                self.mru_index = base + hit_way;
-                self.mru_way = hit_way as u32;
-            }
-            return RawAccess {
-                flags: AccessFlags(AccessFlags::HIT),
-                way: hit_way as u32,
-                evicted: None,
-            };
-        }
-
-        // Write-through caches do not allocate on store misses: the store
-        // goes straight to the next level.
-        if is_write && self.write_policy == WritePolicy::WriteThrough {
-            return RawAccess {
-                flags: AccessFlags(0),
-                way: 0,
-                evicted: None,
-            };
-        }
-
-        // Prefer the invalid way found during the probe; otherwise ask the
-        // replacement policy for a victim.
-        let way = if invalid_way != usize::MAX {
-            invalid_way
-        } else {
-            self.replacement.victim(set, &mut self.rng) as usize
-        };
-        let index = base + way;
-        let old_tag = self.tags[index];
-        let mut flags = AccessFlags::FILLED;
-        let evicted = if old_tag != INVALID_TAG {
-            let was_dirty = bit_get(&self.dirty, index);
-            flags |= AccessFlags::EVICTED | if was_dirty { AccessFlags::WRITEBACK } else { 0 };
-            Some(EvictedLine {
-                line: LineAddr::new(old_tag),
-                dirty: was_dirty,
-            })
-        } else {
-            None
-        };
-        self.tags[index] = raw;
-        bit_set(&mut self.valid, index);
-        if is_write && self.write_policy == WritePolicy::WriteBack {
-            bit_set(&mut self.dirty, index);
-        } else {
-            bit_clear(&mut self.dirty, index);
-        }
-        self.replacement.touch(set, way as u32);
-        if self.mru_enabled && !is_write {
-            self.mru_line = raw;
-            self.mru_index = index;
-            self.mru_way = way as u32;
-        }
-        RawAccess {
-            flags: AccessFlags(flags),
-            way: way as u32,
-            evicted,
-        }
-    }
-
-    /// Performs one access and returns its outcome.
-    #[inline]
-    pub fn access(&mut self, addr: Address, kind: AccessKind) -> AccessOutcome {
-        let line = self.geometry.line_addr(addr);
-        let is_write = kind.is_write();
-        self.stats.accesses += 1;
-        self.stats.stores += is_write as u64;
-        let raw = self.access_raw(line, is_write);
-        let flags = raw.flags;
-        if flags.is_hit() {
-            self.stats.hits += 1;
-            AccessOutcome::Hit { way: raw.way }
-        } else {
-            self.stats.misses += 1;
-            self.stats.fills += flags.filled() as u64;
-            self.stats.evictions += flags.evicted() as u64;
-            self.stats.writebacks += flags.wrote_back() as u64;
-            AccessOutcome::Miss {
-                allocated: flags.filled(),
-                evicted: raw.evicted,
-            }
-        }
-    }
-
-    /// Performs one access without updating the statistics, returning the
-    /// compact [`AccessFlags`] instead of a full [`AccessOutcome`].
-    ///
-    /// This is the batched-replay hot path: callers (one per replay lane)
-    /// accumulate their own counters from the flags and flush them into a
-    /// [`CacheStats`] once per run, instead of read-modify-writing the
-    /// eight-field statistics block on every event.
-    #[inline]
-    pub fn access_lean(&mut self, addr: Address, kind: AccessKind) -> AccessFlags {
-        self.access_raw(self.geometry.line_addr(addr), kind.is_write())
-            .flags
-    }
-
-    /// [`Self::access_lean`] with the line address precomputed by the
-    /// caller.
-    ///
-    /// The lane-batched replay engines decode each event once and fan it
-    /// out across `K` per-seed hierarchies; hoisting the `addr → line`
-    /// reduction out of the per-lane loop pays it once per decoded event
-    /// instead of once per lane.  `line` must equal
-    /// `self.geometry().line_addr(addr)` of the accessed address — the
-    /// placement layout maps lines, so a mismatched line simply accesses a
-    /// different one.
-    #[inline]
-    pub fn access_lean_line(&mut self, line: LineAddr, kind: AccessKind) -> AccessFlags {
-        self.access_raw(line, kind.is_write()).flags
-    }
-
-    /// Returns the set index the current layout assigns to `addr`.
-    pub fn set_index_of(&self, addr: Address) -> u32 {
-        self.placement.set_index(addr)
-    }
-
-    /// Total number of valid lines in the cache.
-    pub fn resident_lines(&self) -> u32 {
-        (0..self.geometry.sets()).map(|s| self.set_occupancy(s)).sum()
-    }
-}
-
 /// `u32::MAX` as a way sentinel in the wavefront probe's select chains
 /// ("no hit way found yet" / "no invalid way found yet").
 const NO_WAY: u32 = u32::MAX;
 
-/// Slot count of the wave residency filter (direct-mapped on the low line
-/// address bits; must be a power of two).  Sized to cover a hot loop's
-/// instruction lines plus its resident data working set without slot
-/// collisions (the cacheb kernel revisits ~800 distinct lines).
-const FILTER_SLOTS: usize = 1024;
+/// Most slots a residency filter gets (direct-mapped on the low line
+/// address bits; a power of two).  The cap covers a hot loop's
+/// instruction lines plus its resident data working set (the cacheb
+/// kernel revisits ~800 distinct lines).
+const MAX_FILTER_SLOTS: usize = 1024;
+
+/// Residency-filter slot count of a bank over `geometry`: two slots per
+/// line one lane holds, rounded up to a power of two and capped at
+/// [`MAX_FILTER_SLOTS`].  A lane never holds more lines than it has
+/// cells, but the table is direct-mapped, so at one slot per line hot
+/// lines collide: a LEON3 L1 bank at 512 slots ran the solo campaigns
+/// 6% slower than at 1,024 (EXPERIMENTS.md, "One cache implementation").
+fn filter_slots(geometry: CacheGeometry) -> usize {
+    let lines = geometry.sets() as usize * geometry.ways() as usize;
+    (2 * lines).next_power_of_two().min(MAX_FILTER_SLOTS)
+}
 
 /// All-ones bitmask over the low `n` lane bits (`n <= 64`).
 fn mask_of(n: usize) -> u64 {
@@ -642,47 +227,76 @@ fn mask_of(n: usize) -> u64 {
 
 /// K per-seed caches probed as one wavefront.
 ///
-/// The lane-batched replay engine applies each decoded trace op to K
-/// independent per-seed cache hierarchies.  `SetAssocCacheLanes` stores
-/// those K caches' tags *lane-major* — `tags[(set * ways + way) * K + lane]`
-/// — so the K tags a probe must compare for one way sit in one contiguous
-/// block, and processes one op across all lanes as fixed-width chunks:
+/// This is the one cache model: the solo and layout engines step K seeds
+/// per decoded event through K-lane banks, and the contended engine holds
+/// every task's L1 pair and the shared L2 as one-lane banks.  The bank
+/// stores its K caches' tags *lane-major* —
+/// `tags[(set * ways + way) * K + lane]` — so the K tags a probe must
+/// compare for one way sit in one contiguous block, and processes one op
+/// across all lanes as fixed-width chunks:
 ///
 /// * **Uniform placement** (Modulo/XOR — the set index is seed-independent):
 ///   every lane probes the same set, so the probe sweeps `ways` contiguous
 ///   K-wide rows with a branch-free select chain the compiler
 ///   autovectorizes (compare a row against the broadcast line address, blend
 ///   the way number into the per-lane hit/invalid accumulators).
-/// * **Per-lane placement** (hRP/RM/custom): [`PlacementLanes::index_lanes`]
+/// * **Per-lane placement** (hRP/RM): [`PlacementLanes::index_lanes`]
 ///   produces K set indices in one sweep, then the same select chain runs
 ///   with per-lane strides.
 /// * **Replacement draws are batched**: a miss wave collects the lanes that
 ///   need a victim (full set, Random replacement) and draws all of them
 ///   with one [`CombinedLfsrLanes::next_below_lanes`] sweep.
 ///
-/// Ways are scanned *highest first* with "last write wins" selects, so the
-/// accumulated hit way and invalid way are the **lowest** matching way —
-/// exactly what the scalar early-exit probe finds (at most one way can
-/// match a line, and the scalar invalid-way choice is the first one seen).
-/// Each lane's hit/miss/eviction sequence — and therefore its cycles and
-/// statistics — is bit-identical to a scalar [`SetAssocCache`] reseeded
-/// with the same value; the batch-equivalence suites pin this.
+/// A one-lane wave (a width-1 bank, or the tail group of a wider one)
+/// takes the sparse per-lane probe, [`Self::access_lean_lane`], which scans
+/// one lane's ways in order and stops at the first hit.  Both probes pick
+/// the **lowest** hitting way and the **lowest** invalid way, so each
+/// lane's hit/miss/eviction sequence — and therefore its cycles and
+/// statistics — depends only on its seed, never on the wave width or the
+/// probe taken.  The specification is the naive `RefCache` of the sim
+/// crate's reference-model suite; that suite and the solo and contended
+/// equivalence suites pin every engine against it.
 ///
-/// The scalar model's MRU read filter survives — and widens — as a
-/// *wave residency filter*: a small direct-mapped table of recently read
-/// lines and their K per-lane cell indices.  Every lane replays the same
-/// line stream, so one table serves the whole wave: a repeat read whose
-/// line is still resident in *every* lane short-circuits placement and
-/// probe entirely, which is what makes hot-loop instruction fetch and
-/// in-cache data reuse nearly free per lane.  Like the scalar MRU filter
-/// it is armed only under Random replacement, where a read hit mutates no
-/// state, so taking or missing the fast path changes no outcome.  The
-/// per-lane valid bits are *authoritative*: every fill that evicts a line
-/// also clears the victim's bit in the victim's filter slot, so a set bit
-/// proves residency and the fast path needs no tag re-check (fills are
-/// rare; filter hits are the steady state).  Idempotent repeat stores
-/// short-circuit too — a write-through store hit mutates nothing, and a
-/// write-back store hit whose dirty bits are already set mutates nothing.
+/// A *residency filter* short-circuits repeat reads: a small
+/// direct-mapped table of recently read lines (two slots per line a lane
+/// holds, at most 1,024) with a per-slot bitmask of the
+/// lanes that hold the line.  Every lane replays the same line stream, so
+/// one table serves the whole wave: a repeat read whose line is still
+/// resident in *every* lane short-circuits placement and probe entirely,
+/// which is what makes hot-loop instruction fetch and in-cache data reuse
+/// nearly free per lane.  It is armed only under Random replacement, where
+/// a read hit mutates no state, so taking or missing the fast path changes
+/// no outcome.  The per-lane valid bits are *authoritative*: every fill
+/// that evicts a line also clears the victim's bit in the victim's filter
+/// slot, so a set bit proves residency and the fast path needs no tag
+/// re-check (fills are rare; filter hits are the steady state).
+/// Idempotent repeat stores short-circuit a multi-lane wave too — a
+/// write-through store hit mutates nothing, and a write-back store hit
+/// whose dirty bits are already set mutates nothing.
+///
+/// ```
+/// use randmod_core::{Address, CacheGeometry, PlacementKind, ReplacementKind};
+/// use randmod_core::cache::{AccessFlags, AccessKind, SetAssocCacheLanes, WritePolicy};
+///
+/// # fn main() -> Result<(), randmod_core::ConfigError> {
+/// let geometry = CacheGeometry::leon3_l1();
+/// let mut bank = SetAssocCacheLanes::with_kinds(
+///     geometry,
+///     PlacementKind::RandomModulo,
+///     ReplacementKind::Random,
+///     WritePolicy::WriteThrough,
+///     4,
+/// )?;
+/// bank.reseed_wave(&[7, 8, 9, 10]);
+/// let line = geometry.line_addr(Address::new(0x100));
+/// let mut flags = [AccessFlags::default(); 4];
+/// bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
+/// assert!(flags.iter().all(|f| f.is_miss() && f.filled()));
+/// // One lane on its own: the sparse probe sees the same contents.
+/// assert!(bank.access_lean_lane(2, line, AccessKind::Load).is_hit());
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCacheLanes {
     geometry: CacheGeometry,
@@ -700,7 +314,7 @@ pub struct SetAssocCacheLanes {
     tags: Vec<u64>,
     /// Packed dirty bits, one per (line, lane) in the same linear order.
     dirty: Vec<u64>,
-    /// Per-lane replacement state (same policy logic as the scalar cache).
+    /// Per-lane replacement state.
     replacement: Vec<ReplacementState>,
     /// Per-lane PRNG bank for victim draws.
     rng: CombinedLfsrLanes,
@@ -716,19 +330,22 @@ pub struct SetAssocCacheLanes {
     draw_lanes: Vec<u32>,
     /// The batched draws for `draw_lanes`.
     draws: Vec<u32>,
-    /// Wave residency filter: line address per slot ([`FILTER_SLOTS`]
+    /// Residency filter: line address per slot ([`filter_slots`]
     /// direct-mapped entries, [`INVALID_TAG`] = empty).  Armed only under
     /// Random replacement, where a read hit mutates no per-lane state.
     filter_tags: Vec<u64>,
+    /// Slot mask of the filter (slot count minus one).
+    filter_mask: usize,
     /// Per-slot bitmask of lanes in which the slot's line is resident (bit
     /// `lane` set).  Authoritative: set when a wave or sparse access
     /// leaves the line resident, cleared when a fill evicts it, so the
     /// fast paths trust it without a tag re-check.
     filter_valid: Vec<u64>,
     /// Per-slot, per-lane flat tag index of the filtered line
-    /// (`filter_index[slot * K + lane]`; only consulted by the write-back
-    /// repeat-store fast path to test dirty bits).  Stored as `u32` to
-    /// halve the table's cache footprint.
+    /// (`filter_index[slot * K + lane]`), read only by the multi-lane
+    /// write-back repeat-store fast path to test dirty bits.  Empty (and
+    /// never written) in write-through and one-lane banks, where nothing
+    /// reads it.  Stored as `u32` to halve the table's cache footprint.
     filter_index: Vec<u32>,
     /// Whether the residency filter may be armed (replacement is Random,
     /// the lane count fits the per-slot valid bitmask, and every tag index
@@ -757,52 +374,19 @@ impl SetAssocCacheLanes {
         write_policy: WritePolicy,
         lanes: usize,
     ) -> Result<Self, ConfigError> {
-        Ok(Self::from_lane_placement(
-            geometry,
-            PlacementLanes::new(placement, geometry, lanes)?,
-            replacement,
-            write_policy,
-        ))
-    }
-
-    /// Creates a K-lane cache bank over per-lane scalar placements (the
-    /// [`Placement::Custom`] fallback: every lane dispatches through its
-    /// boxed policy's scalar path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placements` is empty, the geometries disagree, or a
-    /// policy's geometry differs from `geometry`.
-    pub fn with_placements(
-        geometry: CacheGeometry,
-        placements: Vec<Placement>,
-        replacement: ReplacementKind,
-        write_policy: WritePolicy,
-    ) -> Self {
-        Self::from_lane_placement(
-            geometry,
-            PlacementLanes::from_placements(placements),
-            replacement,
-            write_policy,
-        )
-    }
-
-    fn from_lane_placement(
-        geometry: CacheGeometry,
-        placement: PlacementLanes,
-        replacement: ReplacementKind,
-        write_policy: WritePolicy,
-    ) -> Self {
-        assert_eq!(
-            placement.geometry(),
-            geometry,
-            "placement policy geometry does not match the cache geometry"
-        );
-        let lanes = placement.lane_count();
+        let placement = PlacementLanes::new(placement, geometry, lanes)?;
         let ways = geometry.ways() as usize;
         let cells = geometry.sets() as usize * ways * lanes;
         let uniform = placement.is_uniform();
-        SetAssocCacheLanes {
+        let slots = filter_slots(geometry);
+        // Only the multi-lane write-back repeat-store path reads the
+        // per-lane filter indices.
+        let index_cells = if write_policy == WritePolicy::WriteBack && lanes > 1 {
+            slots * lanes
+        } else {
+            0
+        };
+        Ok(SetAssocCacheLanes {
             geometry,
             placement,
             write_policy,
@@ -823,14 +407,15 @@ impl SetAssocCacheLanes {
             inv_way: vec![NO_WAY; lanes],
             draw_lanes: Vec::with_capacity(lanes),
             draws: vec![0; lanes],
-            filter_tags: vec![INVALID_TAG; FILTER_SLOTS],
-            filter_valid: vec![0; FILTER_SLOTS],
-            filter_index: vec![0; FILTER_SLOTS * lanes],
+            filter_tags: vec![INVALID_TAG; slots],
+            filter_mask: slots - 1,
+            filter_valid: vec![0; slots],
+            filter_index: vec![0; index_cells],
             filter_enabled: replacement == ReplacementKind::Random
                 && lanes <= 64
                 && cells <= u32::MAX as usize,
             active_mask: mask_of(lanes.min(64)),
-        }
+        })
     }
 
     /// The cache geometry.
@@ -848,14 +433,11 @@ impl SetAssocCacheLanes {
         self.active
     }
 
-    /// Whether the bank dispatches placement through boxed scalar policies.
-    pub fn uses_custom_placement(&self) -> bool {
-        self.placement.is_custom()
-    }
-
     /// Reseeds lanes `0..seeds.len()` (one layout per seed) and flushes
-    /// every lane's contents, exactly as [`SetAssocCache::reseed`] does per
-    /// cache.  Subsequent waves step `seeds.len()` active lanes.
+    /// every lane's contents, as the hardware does on a seed change.  Lane
+    /// `i`'s victim draws come from a fresh generator seeded with
+    /// `seeds[i] ^ 0x5EED_5EED_5EED_5EED`.  Subsequent waves step
+    /// `seeds.len()` active lanes.
     ///
     /// # Panics
     ///
@@ -927,7 +509,7 @@ impl SetAssocCacheLanes {
         // needed.  Every lane replays the same line stream, so one table
         // serves the whole wave.
         let wb = self.write_policy == WritePolicy::WriteBack;
-        let slot = (raw as usize) & (FILTER_SLOTS - 1);
+        let slot = (raw as usize) & self.filter_mask;
         if self.filter_tags[slot] == raw
             && self.filter_valid[slot] & self.active_mask == self.active_mask
         {
@@ -935,14 +517,15 @@ impl SetAssocCacheLanes {
                 flags.fill(AccessFlags(AccessFlags::HIT));
                 return;
             }
-            let indices = &self.filter_index[slot * k..slot * k + a];
-            let mut dirty = true;
-            for &index in indices {
-                dirty &= bit_get(&self.dirty, index as usize);
-            }
-            if dirty {
-                flags.fill(AccessFlags(AccessFlags::HIT));
-                return;
+            if let Some(indices) = self.filter_index.get(slot * k..slot * k + a) {
+                let mut dirty = true;
+                for &index in indices {
+                    dirty &= bit_get(&self.dirty, index as usize);
+                }
+                if dirty {
+                    flags.fill(AccessFlags(AccessFlags::HIT));
+                    return;
+                }
             }
         }
 
@@ -969,8 +552,8 @@ impl SetAssocCacheLanes {
         // Probe stage: accumulate per-lane hit/invalid *way bitmasks* in a
         // branch-free forward sweep (bit `w` set when way `w` matches),
         // then convert each mask's lowest set bit to a way number — the
-        // lowest matching way is exactly what the scalar early-exit probe
-        // finds (at most one way can hit a line, and the scalar
+        // lowest matching way is exactly what the sparse early-exit probe
+        // finds (at most one way can hit a line, and the sparse
         // invalid-way choice is the first one seen).  The uniform sweep
         // reads contiguous K-wide rows the compiler vectorizes; banks
         // wider than 32 ways (none in practice) fall back to select
@@ -1050,12 +633,13 @@ impl SetAssocCacheLanes {
         // write-through store hit mutates nothing either, so those waves
         // resolve to all-HIT without per-lane work.  Write-back store hits
         // still need their dirty bits set and take the resolution loop.
-        // This replaces the scalar MRU filter, and extends it to any
-        // rediscovered hit, not just the most recent line.
+        // Any rediscovered hit re-arms the filter, not just the most
+        // recent line.
         if all_hit && self.filter_enabled && !(is_write && wb) {
-            for (lane, &hw) in hit_way.iter().enumerate() {
-                self.filter_index[slot * k + lane] =
-                    (self.lane_base[lane] + hw as usize * k) as u32;
+            if let Some(row) = self.filter_index.get_mut(slot * k..slot * k + a) {
+                for (lane, (cell, &hw)) in row.iter_mut().zip(hit_way.iter()).enumerate() {
+                    *cell = (self.lane_base[lane] + hw as usize * k) as u32;
+                }
             }
             self.filter_tags[slot] = raw;
             self.filter_valid[slot] = self.active_mask;
@@ -1064,8 +648,8 @@ impl SetAssocCacheLanes {
         }
 
         // Miss wave: batch the victim draws in one PRNG sweep instead of
-        // one call per lane (ascending lane order, matching the scalar
-        // engine's per-lane draw stream).
+        // one call per lane (ascending lane order; each lane's stream is
+        // the one its sparse draws would consume).
         if !self.draw_lanes.is_empty() {
             self.rng.next_below_lanes(
                 self.geometry.ways(),
@@ -1093,7 +677,9 @@ impl SetAssocCacheLanes {
                 let hit = hw != NO_WAY;
                 *flag = AccessFlags(if hit { AccessFlags::HIT } else { 0 });
                 let way = if hit { hw as usize } else { 0 };
-                self.filter_index[slot * k + lane] = (self.lane_base[lane] + way * k) as u32;
+                if let Some(cell) = self.filter_index.get_mut(slot * k + lane) {
+                    *cell = (self.lane_base[lane] + way * k) as u32;
+                }
                 self.set_scratch[misses] = lane as u32;
                 misses += usize::from(!hit);
             }
@@ -1117,7 +703,7 @@ impl SetAssocCacheLanes {
                     }
                     // Keep the valid bits authoritative: the victim is no
                     // longer resident in this lane.
-                    let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
+                    let old_slot = (old_tag as usize) & self.filter_mask;
                     if self.filter_tags[old_slot] == old_tag {
                         self.filter_valid[old_slot] &= !(1u64 << lane);
                     }
@@ -1126,7 +712,9 @@ impl SetAssocCacheLanes {
                 if wb {
                     bit_clear(&mut self.dirty, index);
                 }
-                self.filter_index[slot * k + lane] = index as u32;
+                if let Some(cell) = self.filter_index.get_mut(slot * k + lane) {
+                    *cell = index as u32;
+                }
                 flags[lane] = AccessFlags(fl);
             }
             self.filter_tags[slot] = raw;
@@ -1159,7 +747,9 @@ impl SetAssocCacheLanes {
                     bit_set(&mut self.dirty, base + hw as usize * k);
                 }
                 if arm {
-                    self.filter_index[slot * k + lane] = (base + hw as usize * k) as u32;
+                    if let Some(cell) = self.filter_index.get_mut(slot * k + lane) {
+                        *cell = (base + hw as usize * k) as u32;
+                    }
                     armed_bits |= 1u64 << lane;
                 }
                 AccessFlags(AccessFlags::HIT)
@@ -1189,7 +779,7 @@ impl SetAssocCacheLanes {
                     if arm {
                         // Keep the valid bits authoritative: the victim is
                         // no longer resident in this lane.
-                        let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
+                        let old_slot = (old_tag as usize) & self.filter_mask;
                         if self.filter_tags[old_slot] == old_tag {
                             self.filter_valid[old_slot] &= !(1u64 << lane);
                         }
@@ -1205,7 +795,9 @@ impl SetAssocCacheLanes {
                     self.replacement[lane].touch(set, way);
                 }
                 if arm {
-                    self.filter_index[slot * k + lane] = index as u32;
+                    if let Some(cell) = self.filter_index.get_mut(slot * k + lane) {
+                        *cell = index as u32;
+                    }
                     armed_bits |= 1u64 << lane;
                 }
                 AccessFlags(fl)
@@ -1221,9 +813,10 @@ impl SetAssocCacheLanes {
         }
     }
 
-    /// Applies one access to a single lane (the sparse path: an L2 read
-    /// wave only probes the lanes whose L1 missed).  Bit-identical to that
-    /// lane's scalar [`SetAssocCache::access_lean_line`].
+    /// Applies one access to a single lane: the sparse path an L2 read
+    /// wave takes for the lanes whose L1 missed, and the whole probe of a
+    /// one-lane bank (the layout sweep's and the contended engine's).
+    /// Gives lane `lane` the same outcome a full wave would.
     #[inline]
     pub fn access_lean_lane(&mut self, lane: usize, line: LineAddr, kind: AccessKind) -> AccessFlags {
         debug_assert!(lane < self.active, "lane {lane} not active");
@@ -1240,7 +833,7 @@ impl SetAssocCacheLanes {
         // touching the other lanes' entries.  Reads only, Random
         // replacement only — the same no-mutation argument as the wave
         // fast path.
-        let slot = (raw as usize) & (FILTER_SLOTS - 1);
+        let slot = (raw as usize) & self.filter_mask;
         let lane_bit = 1u64 << (lane & 63);
         if !is_write && self.filter_tags[slot] == raw && self.filter_valid[slot] & lane_bit != 0 {
             return AccessFlags(AccessFlags::HIT);
@@ -1249,7 +842,7 @@ impl SetAssocCacheLanes {
         let set = self.placement.index_lane(lane, line);
         let base = set as usize * self.ways * k + lane;
 
-        // Scalar-style probe over this lane's strided cells.
+        // Early-exit probe over this lane's strided cells.
         let mut invalid_way = NO_WAY;
         let mut hit_way = NO_WAY;
         for w in 0..self.ways {
@@ -1296,7 +889,7 @@ impl SetAssocCacheLanes {
             if self.filter_enabled {
                 // Keep the valid bits authoritative: the victim is no
                 // longer resident in this lane.
-                let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
+                let old_slot = (old_tag as usize) & self.filter_mask;
                 if self.filter_tags[old_slot] == old_tag {
                     self.filter_valid[old_slot] &= !lane_bit;
                 }
@@ -1329,168 +922,188 @@ impl SetAssocCacheLanes {
             self.filter_tags[slot] = raw;
             self.filter_valid[slot] = lane_bit;
         }
-        self.filter_index[slot * self.lanes + lane] = index as u32;
+        if let Some(cell) = self.filter_index.get_mut(slot * self.lanes + lane) {
+            *cell = index as u32;
+        }
     }
 }
+
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::Address;
+    use crate::prng::SplitMix64;
 
-    fn small_cache(placement: PlacementKind, write_policy: WritePolicy) -> SetAssocCache {
-        // 8 sets x 2 ways x 32B lines = 512B: small enough to force
-        // evictions quickly in tests.
+    /// A one-lane bank of 8 sets x 2 ways x 32B lines = 512B (small enough
+    /// to force evictions quickly), reseeded with `seed`.
+    fn one_lane(
+        placement: PlacementKind,
+        replacement: ReplacementKind,
+        write_policy: WritePolicy,
+        seed: u64,
+    ) -> SetAssocCacheLanes {
         let geometry = CacheGeometry::new(8, 2, 32).unwrap();
-        SetAssocCache::with_kinds(geometry, placement, ReplacementKind::Lru, write_policy).unwrap()
+        let mut bank =
+            SetAssocCacheLanes::with_kinds(geometry, placement, replacement, write_policy, 1)
+                .unwrap();
+        bank.reseed_wave(&[seed]);
+        bank
+    }
+
+    fn small_cache(placement: PlacementKind, write_policy: WritePolicy) -> SetAssocCacheLanes {
+        one_lane(placement, ReplacementKind::Lru, write_policy, 0)
+    }
+
+    /// One access to the only lane of `bank`.
+    fn access(bank: &mut SetAssocCacheLanes, addr: u64, kind: AccessKind) -> AccessFlags {
+        let line = bank.geometry().line_addr(Address::new(addr));
+        bank.access_lean_lane(0, line, kind)
+    }
+
+    /// Whether the only lane of `bank` holds the line of `addr` (reads the
+    /// tag array; changes nothing).
+    fn contains(bank: &SetAssocCacheLanes, addr: u64) -> bool {
+        let line = bank.geometry().line_addr(Address::new(addr));
+        bank.tags.contains(&line.raw())
+    }
+
+    fn resident_lines(bank: &SetAssocCacheLanes) -> usize {
+        bank.tags.iter().filter(|&&tag| tag != INVALID_TAG).count()
+    }
+
+    /// Books one access into `stats`, as the engines' counter blocks do.
+    fn record(stats: &mut CacheStats, flags: AccessFlags, kind: AccessKind) {
+        stats.accesses += 1;
+        stats.stores += u64::from(kind.is_write());
+        stats.hits += u64::from(flags.is_hit());
+        stats.misses += u64::from(flags.is_miss());
+        stats.fills += u64::from(flags.filled());
+        stats.evictions += u64::from(flags.evicted());
+        stats.writebacks += u64::from(flags.wrote_back());
     }
 
     #[test]
     fn miss_then_hit() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let addr = Address::new(0x40);
-        assert!(cache.access(addr, AccessKind::Load).is_miss());
-        assert!(cache.access(addr, AccessKind::Load).is_hit());
-        assert_eq!(cache.stats().accesses, 2);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
+        let first = access(&mut cache, 0x40, AccessKind::Load);
+        assert!(first.is_miss() && first.filled() && !first.evicted());
+        assert!(access(&mut cache, 0x40, AccessKind::Load).is_hit());
     }
 
     #[test]
     fn same_line_different_bytes_hit() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        assert!(cache.access(Address::new(0x100), AccessKind::Load).is_miss());
-        assert!(cache.access(Address::new(0x11F), AccessKind::Load).is_hit());
+        assert!(access(&mut cache, 0x100, AccessKind::Load).is_miss());
+        assert!(access(&mut cache, 0x11F, AccessKind::Load).is_hit());
     }
 
     #[test]
     fn capacity_eviction_with_lru() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
         // Three lines that all map to set 0 (stride = 8 sets * 32B = 256B).
-        let a = Address::new(0);
-        let b = Address::new(256);
-        let c = Address::new(512);
-        cache.access(a, AccessKind::Load);
-        cache.access(b, AccessKind::Load);
-        let outcome = cache.access(c, AccessKind::Load);
-        assert!(outcome.is_miss());
-        assert!(matches!(outcome, AccessOutcome::Miss { evicted: Some(_), .. }));
-        // `a` was the LRU line, so it must be gone while `b` survived.
-        assert!(!cache.contains(a));
-        assert!(cache.contains(b));
-        assert!(cache.contains(c));
-        assert_eq!(cache.stats().evictions, 1);
+        access(&mut cache, 0, AccessKind::Load);
+        access(&mut cache, 256, AccessKind::Load);
+        let flags = access(&mut cache, 512, AccessKind::Load);
+        assert!(flags.is_miss() && flags.filled() && flags.evicted());
+        assert!(!flags.wrote_back());
+        // `0` was the LRU line, so it must be gone while `256` survived.
+        assert!(!contains(&cache, 0));
+        assert!(contains(&cache, 256));
+        assert!(contains(&cache, 512));
     }
 
     #[test]
     fn write_through_store_miss_does_not_allocate() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let addr = Address::new(0x80);
-        let outcome = cache.access(addr, AccessKind::Store);
-        assert_eq!(
-            outcome,
-            AccessOutcome::Miss {
-                allocated: false,
-                evicted: None
-            }
-        );
-        assert!(!cache.contains(addr));
-        assert_eq!(cache.stats().fills, 0);
+        assert_eq!(access(&mut cache, 0x80, AccessKind::Store), AccessFlags(0));
+        assert!(!contains(&cache, 0x80));
+        assert_eq!(resident_lines(&cache), 0);
     }
 
     #[test]
     fn write_back_store_miss_allocates_and_dirties() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteBack);
-        let a = Address::new(0);
-        let b = Address::new(256);
-        let c = Address::new(512);
-        cache.access(a, AccessKind::Store);
-        cache.access(b, AccessKind::Load);
+        let store = access(&mut cache, 0, AccessKind::Store);
+        assert!(store.is_miss() && store.filled());
+        assert!(contains(&cache, 0));
+        access(&mut cache, 256, AccessKind::Load);
         // Evicting the dirty line must produce a write-back.
-        let outcome = cache.access(c, AccessKind::Load);
-        assert!(outcome.caused_writeback());
-        assert_eq!(cache.stats().writebacks, 1);
+        let flags = access(&mut cache, 512, AccessKind::Load);
+        assert!(flags.evicted() && flags.wrote_back());
     }
 
     #[test]
     fn write_through_never_writes_back() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
         for i in 0..64u64 {
-            cache.access(Address::new(i * 32), AccessKind::Store);
-            cache.access(Address::new(i * 32), AccessKind::Load);
+            for kind in [AccessKind::Store, AccessKind::Load] {
+                assert!(!access(&mut cache, i * 32, kind).wrote_back(), "line {i}");
+            }
         }
-        assert_eq!(cache.stats().writebacks, 0);
     }
 
     #[test]
     fn reseed_flushes_contents() {
         let mut cache = small_cache(PlacementKind::RandomModulo, WritePolicy::WriteThrough);
-        let addr = Address::new(0x40);
-        cache.access(addr, AccessKind::Load);
-        assert!(cache.contains(addr));
-        cache.reseed(99);
-        assert!(!cache.contains(addr));
-        assert!(cache.access(addr, AccessKind::Load).is_miss());
-        assert!(cache.stats().flushes >= 1);
+        access(&mut cache, 0x40, AccessKind::Load);
+        assert!(contains(&cache, 0x40));
+        cache.reseed_wave(&[99]);
+        assert!(!contains(&cache, 0x40));
+        assert!(access(&mut cache, 0x40, AccessKind::Load).is_miss());
     }
 
     #[test]
     fn flush_resets_occupancy() {
+        // Reseeding with the installed seed is the bank's flush.
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
         for i in 0..16u64 {
-            cache.access(Address::new(i * 32), AccessKind::Load);
+            access(&mut cache, i * 32, AccessKind::Load);
         }
-        assert_eq!(cache.resident_lines(), 16);
-        cache.flush();
-        assert_eq!(cache.resident_lines(), 0);
+        assert_eq!(resident_lines(&cache), 16);
+        cache.reseed_wave(&[0]);
+        assert_eq!(resident_lines(&cache), 0);
     }
 
-    /// A cache with the MRU read filter armed on `addr`: Random
+    /// A one-lane bank with the residency filter armed on `addr`: Random
     /// replacement (the only mode where the filter may arm) plus two reads
-    /// of the same line (fill, then the arming hit).
-    fn cache_with_armed_mru(placement: PlacementKind, addr: Address) -> SetAssocCache {
-        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
-        let mut cache = SetAssocCache::with_kinds(
-            geometry,
-            placement,
-            ReplacementKind::Random,
-            WritePolicy::WriteThrough,
-        )
-        .unwrap();
-        cache.reseed(1);
-        assert!(cache.access(addr, AccessKind::Load).is_miss());
-        assert!(cache.access(addr, AccessKind::Load).is_hit());
+    /// of the same line (fill, then the filtered hit).
+    fn cache_with_armed_filter(placement: PlacementKind, addr: u64) -> SetAssocCacheLanes {
+        let mut cache = one_lane(placement, ReplacementKind::Random, WritePolicy::WriteThrough, 1);
+        assert!(access(&mut cache, addr, AccessKind::Load).is_miss());
+        assert!(access(&mut cache, addr, AccessKind::Load).is_hit());
+        let raw = cache.geometry().line_addr(Address::new(addr)).raw();
+        let slot = raw as usize & cache.filter_mask;
+        assert_eq!(cache.filter_tags[slot], raw, "the read did not arm the filter");
+        assert_eq!(cache.filter_valid[slot], 1);
         cache
     }
 
     #[test]
     fn flush_disarms_the_mru_read_filter() {
-        // A stale MRU entry surviving the flush would answer the next read
-        // of the same line with a phantom hit on an invalidated cache — a
-        // silent wrong result.  The post-flush read must be a genuine miss
-        // that refills the line.
-        let addr = Address::new(0x40);
-        let mut cache = cache_with_armed_mru(PlacementKind::RandomModulo, addr);
-        cache.flush();
-        let outcome = cache.access(addr, AccessKind::Load);
-        assert!(outcome.is_miss(), "phantom MRU hit after flush");
-        assert!(cache.contains(addr), "the post-flush miss must refill the line");
+        // A stale filter entry surviving the flush would answer the next
+        // read of the same line with a phantom hit on an invalidated cache
+        // — a silent wrong result.  The post-flush read must be a genuine
+        // miss that refills the line.
+        let mut cache = cache_with_armed_filter(PlacementKind::RandomModulo, 0x40);
+        cache.reseed_wave(&[1]);
+        let flags = access(&mut cache, 0x40, AccessKind::Load);
+        assert!(flags.is_miss(), "phantom filter hit after flush");
+        assert!(contains(&cache, 0x40), "the post-flush miss must refill the line");
     }
 
     #[test]
     fn reseed_disarms_the_mru_read_filter() {
         // Same property across the per-run re-randomisation: after a
         // reseed (which flushes and moves the line to a new random set)
-        // the previously MRU line must miss, under every placement.
+        // the previously filtered line must miss, under every placement.
         for placement in PlacementKind::ALL {
-            let addr = Address::new(0x40);
-            let mut cache = cache_with_armed_mru(placement, addr);
-            let hits_before = cache.stats().hits;
-            cache.reseed(0xFEED_F00D);
+            let mut cache = cache_with_armed_filter(placement, 0x40);
+            cache.reseed_wave(&[0xFEED_F00D]);
             assert!(
-                cache.access(addr, AccessKind::Load).is_miss(),
-                "phantom MRU hit after reseed under {placement}"
+                access(&mut cache, 0x40, AccessKind::Load).is_miss(),
+                "phantom filter hit after reseed under {placement}"
             );
-            assert_eq!(cache.stats().hits, hits_before);
         }
     }
 
@@ -1499,53 +1112,45 @@ mod tests {
         // 8 sets x 2 ways: 16 consecutive lines fit exactly; after the cold
         // pass every access must hit.
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let lines: Vec<Address> = (0..16u64).map(|i| Address::new(i * 32)).collect();
-        for &a in &lines {
-            cache.access(a, AccessKind::Load);
+        for i in 0..16u64 {
+            access(&mut cache, i * 32, AccessKind::Load);
         }
-        cache.reset_stats();
         for _ in 0..10 {
-            for &a in &lines {
-                assert!(cache.access(a, AccessKind::Load).is_hit());
+            for i in 0..16u64 {
+                assert!(access(&mut cache, i * 32, AccessKind::Load).is_hit());
             }
         }
-        assert_eq!(cache.stats().misses, 0);
     }
 
     #[test]
     fn working_set_fitting_in_cache_has_no_conflict_misses_with_rm() {
         // The headline property of RM: consecutive lines that fit in the
         // cache never conflict, for any seed.
-        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
         for seed in [1u64, 2, 3, 0xFFFF, 0xABCD_EF01] {
-            let mut cache = SetAssocCache::with_kinds(
-                geometry,
+            let mut cache = one_lane(
                 PlacementKind::RandomModulo,
                 ReplacementKind::Lru,
                 WritePolicy::WriteThrough,
-            )
-            .unwrap();
-            cache.reseed(seed);
-            let lines: Vec<Address> = (0..16u64).map(|i| Address::new(i * 32)).collect();
-            for &a in &lines {
-                cache.access(a, AccessKind::Load);
+                seed,
+            );
+            for i in 0..16u64 {
+                access(&mut cache, i * 32, AccessKind::Load);
             }
-            cache.reset_stats();
             for _ in 0..5 {
-                for &a in &lines {
-                    cache.access(a, AccessKind::Load);
+                for i in 0..16u64 {
+                    assert!(access(&mut cache, i * 32, AccessKind::Load).is_hit(), "seed {seed}");
                 }
             }
-            assert_eq!(cache.stats().misses, 0, "seed {seed}");
         }
     }
 
     #[test]
     fn stats_display_and_ratios() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        cache.access(Address::new(0), AccessKind::Load);
-        cache.access(Address::new(0), AccessKind::Load);
-        let stats = cache.stats();
+        let mut stats = CacheStats::default();
+        for _ in 0..2 {
+            record(&mut stats, access(&mut cache, 0, AccessKind::Load), AccessKind::Load);
+        }
         assert!((stats.miss_ratio() - 0.5).abs() < 1e-12);
         assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
         assert!(stats.to_string().contains("2 accesses"));
@@ -1557,58 +1162,53 @@ mod tests {
     fn merged_stats_sum_every_field() {
         let mut a = small_cache(PlacementKind::Modulo, WritePolicy::WriteBack);
         let mut b = small_cache(PlacementKind::Modulo, WritePolicy::WriteBack);
+        let (mut stats_a, mut stats_b) = (CacheStats::default(), CacheStats::default());
         for i in 0..40u64 {
-            a.access(Address::new(i * 32), AccessKind::Store);
-            b.access(Address::new((i % 8) * 32), AccessKind::Load);
+            record(&mut stats_a, access(&mut a, i * 32, AccessKind::Store), AccessKind::Store);
+            record(&mut stats_b, access(&mut b, (i % 8) * 32, AccessKind::Load), AccessKind::Load);
         }
-        let merged = a.stats().merged(b.stats());
-        assert_eq!(merged.accesses, a.stats().accesses + b.stats().accesses);
-        assert_eq!(merged.hits, a.stats().hits + b.stats().hits);
+        let merged = stats_a.merged(stats_b);
+        assert_eq!(merged.accesses, stats_a.accesses + stats_b.accesses);
+        assert_eq!(merged.hits, stats_a.hits + stats_b.hits);
         assert_eq!(merged.misses, merged.accesses - merged.hits);
         assert_eq!(merged.stores, 40);
-        assert_eq!(merged.fills, a.stats().fills + b.stats().fills);
+        assert_eq!(merged.fills, stats_a.fills + stats_b.fills);
+        assert_eq!(merged.writebacks, stats_a.writebacks);
         assert_eq!(
-            CacheStats::default().merged(a.stats()),
-            a.stats(),
+            CacheStats::default().merged(stats_a),
+            stats_a,
             "merging with the identity must be a no-op"
         );
     }
 
     #[test]
     fn set_index_of_respects_placement() {
-        let cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        assert_eq!(cache.set_index_of(Address::new(0)), 0);
-        assert_eq!(cache.set_index_of(Address::new(32)), 1);
+        // Modulo: line 0 fills set 0 (cells 0..2), line 1 fills set 1
+        // (cells 2..4).
+        let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
+        access(&mut cache, 0, AccessKind::Load);
+        access(&mut cache, 32, AccessKind::Load);
+        assert!(cache.tags[0..2].contains(&0));
+        assert!(cache.tags[2..4].contains(&1));
     }
 
     #[test]
     fn invalid_ways_are_filled_before_eviction() {
         let mut cache = small_cache(PlacementKind::Modulo, WritePolicy::WriteThrough);
-        let a = Address::new(0);
-        let b = Address::new(256);
-        assert!(matches!(
-            cache.access(a, AccessKind::Load),
-            AccessOutcome::Miss { evicted: None, .. }
-        ));
-        assert!(matches!(
-            cache.access(b, AccessKind::Load),
-            AccessOutcome::Miss { evicted: None, .. }
-        ));
-        assert!(cache.contains(a) && cache.contains(b));
+        for addr in [0u64, 256] {
+            let flags = access(&mut cache, addr, AccessKind::Load);
+            assert!(flags.filled() && !flags.evicted(), "{addr}");
+        }
+        assert!(contains(&cache, 0) && contains(&cache, 256));
     }
 
-    #[test]
-    #[should_panic(expected = "does not match the cache geometry")]
-    fn mismatched_placement_geometry_panics() {
-        let g1 = CacheGeometry::new(8, 2, 32).unwrap();
-        let g2 = CacheGeometry::new(16, 2, 32).unwrap();
-        let placement = PlacementKind::Modulo.build(g2).unwrap();
-        let _ = SetAssocCache::new(g1, placement, ReplacementKind::Lru, WritePolicy::WriteThrough);
-    }
-
-    /// Drives a lane bank and K scalar caches through the same access
-    /// stream and asserts bit-identical flags on every access.
-    fn assert_lane_bank_matches_scalars(
+    /// Drives a `capacity`-lane bank with `active` lanes seeded, and one
+    /// one-lane bank per seed, through the same access stream, and asserts
+    /// identical flags on every access: the multi-lane wave probe and the
+    /// sparse one-lane probe are two separate codes that must agree.  One
+    /// step in seven instead sends a single lane of the wide bank through
+    /// its sparse path (the L2 read-wave path).
+    fn assert_wave_matches_one_lane_banks(
         geometry: CacheGeometry,
         placement: PlacementKind,
         replacement: ReplacementKind,
@@ -1616,47 +1216,44 @@ mod tests {
         active: usize,
         capacity: usize,
     ) {
-        use crate::prng::SplitMix64;
         let mut bank =
             SetAssocCacheLanes::with_kinds(geometry, placement, replacement, write_policy, capacity)
                 .unwrap();
         let seeds: Vec<u64> = (0..active as u64).map(|i| i * 0x9E37_79B9 + 0xFEED).collect();
         bank.reseed_wave(&seeds);
         assert_eq!(bank.active_lanes(), active);
-        let mut scalars: Vec<SetAssocCache> = seeds
+        let mut singles: Vec<SetAssocCacheLanes> = seeds
             .iter()
             .map(|&seed| {
-                let mut cache =
-                    SetAssocCache::with_kinds(geometry, placement, replacement, write_policy)
+                let mut single =
+                    SetAssocCacheLanes::with_kinds(geometry, placement, replacement, write_policy, 1)
                         .unwrap();
-                cache.reseed(seed);
-                cache
+                single.reseed_wave(&[seed]);
+                single
             })
             .collect();
         let mut sm = SplitMix64::new(0x1234);
         let mut flags = vec![AccessFlags::default(); active];
         for step in 0..4_000u64 {
-            let addr = Address::new(sm.next_u64() & 0x3_FFFF);
-            let line = geometry.line_addr(addr);
+            let line = geometry.line_addr(Address::new(sm.next_u64() & 0x3_FFFF));
             let kind = match step % 5 {
                 0 | 1 => AccessKind::Load,
                 2 => AccessKind::Store,
                 _ => AccessKind::InstructionFetch,
             };
             if step % 7 == 3 {
-                // Sparse single-lane access (the L2 read-wave path).
                 let lane = (step % active as u64) as usize;
                 assert_eq!(
                     bank.access_lean_lane(lane, line, kind),
-                    scalars[lane].access_lean_line(line, kind),
+                    singles[lane].access_lean_lane(0, line, kind),
                     "{placement}/{replacement} sparse lane {lane} step {step}"
                 );
             } else {
                 bank.access_lean_lanes(line, kind, &mut flags);
-                for (lane, scalar) in scalars.iter_mut().enumerate() {
+                for (lane, single) in singles.iter_mut().enumerate() {
                     assert_eq!(
                         flags[lane],
-                        scalar.access_lean_line(line, kind),
+                        single.access_lean_lane(0, line, kind),
                         "{placement}/{replacement}/{write_policy:?} lane {lane} step {step}"
                     );
                 }
@@ -1666,15 +1263,14 @@ mod tests {
 
     #[test]
     fn lane_bank_matches_scalar_caches_for_every_policy_mix() {
-        // A full four-lane bank, a width-1 bank, and a four-lane bank with
-        // one active lane (a campaign's tail group): one-lane waves take
-        // the sparse per-lane path, wider ones the wave sweeps.
+        // A full four-lane bank and a four-lane bank with two active lanes,
+        // against one-lane banks, for every policy mix.
         let geometry = CacheGeometry::new(8, 4, 32).unwrap();
-        for (active, capacity) in [(4usize, 4usize), (1, 1), (1, 4)] {
+        for (active, capacity) in [(4usize, 4usize), (2, 4)] {
             for placement in PlacementKind::ALL {
                 for replacement in ReplacementKind::ALL {
                     for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
-                        assert_lane_bank_matches_scalars(
+                        assert_wave_matches_one_lane_banks(
                             geometry,
                             placement,
                             replacement,
@@ -1691,19 +1287,87 @@ mod tests {
     #[test]
     fn lane_bank_partial_waves_match_scalar_caches() {
         // Non-multiple widths and partial final chunks: active < capacity,
-        // including a single active lane and odd counts.
+        // including a single active lane (the sparse path at stride 8) and
+        // odd counts.
         let geometry = CacheGeometry::new(8, 4, 32).unwrap();
         for (active, capacity) in [(1usize, 8usize), (3, 8), (5, 8), (3, 3), (7, 16)] {
             for placement in [PlacementKind::Modulo, PlacementKind::HashRandom] {
-                assert_lane_bank_matches_scalars(
-                    geometry,
-                    placement,
-                    ReplacementKind::Random,
-                    WritePolicy::WriteThrough,
-                    active,
-                    capacity,
-                );
+                for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                    assert_wave_matches_one_lane_banks(
+                        geometry,
+                        placement,
+                        ReplacementKind::Random,
+                        write_policy,
+                        active,
+                        capacity,
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn residency_filter_spans_the_bank_capacity() {
+        // Two slots per line a lane holds, rounded up to a power of two, at
+        // most MAX_FILTER_SLOTS.  Reading as many consecutive lines as
+        // there are slots tags every slot with its own line (a narrower
+        // mask leaves slots untagged, a wider one indexes past the table);
+        // after a flush, a modulo bank filled with as many consecutive
+        // lines as a lane holds keeps every one filtered, in every lane.
+        for (sets, ways, lanes) in [(8u32, 2u32, 1usize), (8, 3, 1), (64, 4, 1), (64, 2, 4)] {
+            let geometry = CacheGeometry::new(sets, ways, 32).unwrap();
+            let lines = (sets * ways) as u64;
+            for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                let mut bank = SetAssocCacheLanes::with_kinds(
+                    geometry,
+                    PlacementKind::Modulo,
+                    ReplacementKind::Random,
+                    write_policy,
+                    lanes,
+                )
+                .unwrap();
+                let seeds: Vec<u64> = (1..=lanes as u64).collect();
+                let slots = (2 * lines as usize).next_power_of_two();
+                assert_eq!(bank.filter_tags.len(), slots);
+                assert_eq!(bank.filter_valid.len(), slots);
+                let indexed = write_policy == WritePolicy::WriteBack && lanes > 1;
+                assert_eq!(bank.filter_index.len(), if indexed { slots * lanes } else { 0 });
+                let mut flags = vec![AccessFlags::default(); lanes];
+                let mut read = |bank: &mut SetAssocCacheLanes, line: u64| {
+                    bank.access_lean_lanes(LineAddr::new(line), AccessKind::Load, &mut flags);
+                };
+                bank.reseed_wave(&seeds);
+                for line in 0..slots as u64 {
+                    read(&mut bank, line);
+                }
+                for (slot, &tag) in bank.filter_tags.iter().enumerate() {
+                    assert_eq!(tag, slot as u64, "{geometry} slot {slot}");
+                }
+                bank.reseed_wave(&seeds);
+                for _ in 0..2 {
+                    for line in 0..lines {
+                        read(&mut bank, line);
+                    }
+                }
+                for line in 0..lines {
+                    let slot = line as usize & bank.filter_mask;
+                    assert_eq!(bank.filter_tags[slot], line, "{geometry} line {line}");
+                    assert_eq!(bank.filter_valid[slot], mask_of(lanes), "{geometry} line {line}");
+                }
+            }
+        }
+        // Larger banks stop at the cap.
+        for sets in [512u32, 1024] {
+            let bank = SetAssocCacheLanes::with_kinds(
+                CacheGeometry::new(sets, 4, 32).unwrap(),
+                PlacementKind::RandomModulo,
+                ReplacementKind::Random,
+                WritePolicy::WriteBack,
+                1,
+            )
+            .unwrap();
+            assert_eq!(bank.filter_tags.len(), MAX_FILTER_SLOTS);
+            assert_eq!(bank.filter_mask, MAX_FILTER_SLOTS - 1);
         }
     }
 
@@ -1733,53 +1397,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_bank_custom_placement_matches_scalar_boxed_caches() {
-        // The Placement::Custom fallback: boxed dyn policies still work,
-        // dispatched per lane through the scalar path.
-        use crate::prng::SplitMix64;
-        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
-        let seeds = [11u64, 22, 33];
-        let placements: Vec<Placement> = seeds
-            .iter()
-            .map(|_| Placement::from(PlacementKind::HashRandom.build(geometry).unwrap()))
-            .collect();
-        let mut bank = SetAssocCacheLanes::with_placements(
-            geometry,
-            placements,
-            ReplacementKind::Random,
-            WritePolicy::WriteThrough,
-        );
-        assert!(bank.uses_custom_placement());
-        bank.reseed_wave(&seeds);
-        let mut scalars: Vec<SetAssocCache> = seeds
-            .iter()
-            .map(|&seed| {
-                let mut cache = SetAssocCache::new(
-                    geometry,
-                    PlacementKind::HashRandom.build(geometry).unwrap(),
-                    ReplacementKind::Random,
-                    WritePolicy::WriteThrough,
-                );
-                cache.reseed(seed);
-                cache
-            })
-            .collect();
-        let mut sm = SplitMix64::new(5);
-        let mut flags = vec![AccessFlags::default(); 3];
-        for step in 0..3_000 {
-            let line = geometry.line_addr(Address::new(sm.next_u64() & 0xFFFF));
-            bank.access_lean_lanes(line, AccessKind::Load, &mut flags);
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                assert_eq!(
-                    flags[lane],
-                    scalar.access_lean_line(line, AccessKind::Load),
-                    "custom lane {lane} step {step}"
-                );
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "seeds exceed the")]
     fn lane_bank_rejects_too_many_seeds() {
         let geometry = CacheGeometry::new(8, 2, 32).unwrap();
@@ -1796,22 +1413,21 @@ mod tests {
 
     #[test]
     fn random_replacement_cache_is_deterministic_per_seed() {
-        let geometry = CacheGeometry::new(8, 2, 32).unwrap();
-        let run = |seed: u64| -> (u64, u64) {
-            let mut cache = SetAssocCache::with_kinds(
-                geometry,
+        let run = |seed: u64| -> CacheStats {
+            let mut cache = one_lane(
                 PlacementKind::HashRandom,
                 ReplacementKind::Random,
                 WritePolicy::WriteThrough,
-            )
-            .unwrap();
-            cache.reseed(seed);
+                seed,
+            );
+            let mut stats = CacheStats::default();
             for i in 0..2000u64 {
-                let addr = Address::new((i * 7919) % 4096 * 32);
-                cache.access(addr, AccessKind::Load);
+                let flags = access(&mut cache, (i * 7919) % 4096 * 32, AccessKind::Load);
+                record(&mut stats, flags, AccessKind::Load);
             }
-            (cache.stats().hits, cache.stats().misses)
+            stats
         };
         assert_eq!(run(42), run(42));
+        assert!(run(42).evictions > 0, "the stream must force random victims");
     }
 }

@@ -182,164 +182,6 @@ impl FromStr for PlacementKind {
 }
 
 // ---------------------------------------------------------------------------
-// Static dispatch
-// ---------------------------------------------------------------------------
-
-/// A placement policy with *static* dispatch over the four built-in
-/// designs, used on the replay hot path.
-///
-/// [`SetAssocCache`](crate::cache::SetAssocCache) performs one placement
-/// lookup per access; through a `Box<dyn PlacementPolicy>` that lookup is an
-/// indirect call the CPU cannot inline or predict well.  `Placement` is a
-/// plain enum over the concrete policy types, so `set_index_of_line` is a
-/// direct, inlinable match — the compiler monomorphizes the whole cache
-/// access for each variant.
-///
-/// The [`PlacementPolicy`] trait remains the public extension point:
-/// `Placement::Custom` adapts any boxed implementation (at the old virtual-
-/// call cost), via [`From<Box<dyn PlacementPolicy>>`].
-///
-/// ```
-/// use randmod_core::{Placement, PlacementKind, CacheGeometry, Address};
-///
-/// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut placement = Placement::new(PlacementKind::RandomModulo, CacheGeometry::leon3_l1())?;
-/// placement.reseed(7);
-/// assert!(placement.set_index(Address::new(0x4000_0000)) < 128);
-/// assert_eq!(placement.kind(), PlacementKind::RandomModulo);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub enum Placement {
-    /// Conventional modulo placement.
-    Modulo(ModuloPlacement),
-    /// Deterministic XOR-folding placement.
-    Xor(XorPlacement),
-    /// Hash-based random placement (hRP).
-    HashRandom(HashRandomPlacement),
-    /// Random Modulo placement (RM).
-    RandomModulo(RandomModuloPlacement),
-    /// An externally provided policy, dispatched through the trait object
-    /// (the extension point for policies outside this crate).
-    Custom(Box<dyn PlacementPolicy>),
-}
-
-impl Placement {
-    /// Builds the statically dispatched policy for `kind` on `geometry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the geometry cannot support the policy
-    /// (currently never: all supported geometries work with all policies).
-    pub fn new(kind: PlacementKind, geometry: CacheGeometry) -> Result<Self, ConfigError> {
-        Ok(match kind {
-            PlacementKind::Modulo => Placement::Modulo(ModuloPlacement::new(geometry)),
-            PlacementKind::Xor => Placement::Xor(XorPlacement::new(geometry)),
-            PlacementKind::HashRandom => {
-                Placement::HashRandom(HashRandomPlacement::new(geometry))
-            }
-            PlacementKind::RandomModulo => {
-                Placement::RandomModulo(RandomModuloPlacement::new(geometry))
-            }
-        })
-    }
-
-    /// The geometry this policy was built for.
-    pub fn geometry(&self) -> CacheGeometry {
-        match self {
-            Placement::Modulo(p) => p.geometry(),
-            Placement::Xor(p) => p.geometry(),
-            Placement::HashRandom(p) => p.geometry(),
-            Placement::RandomModulo(p) => p.geometry(),
-            Placement::Custom(p) => p.geometry(),
-        }
-    }
-
-    /// Maps a line address to a set index in `0..sets` (the per-access hot
-    /// path; statically dispatched for the built-in policies).
-    #[inline]
-    pub fn set_index_of_line(&self, line: LineAddr) -> u32 {
-        match self {
-            Placement::Modulo(p) => p.set_index_of_line(line),
-            Placement::Xor(p) => p.set_index_of_line(line),
-            Placement::HashRandom(p) => p.set_index_of_line(line),
-            Placement::RandomModulo(p) => p.set_index_of_line(line),
-            Placement::Custom(p) => p.set_index_of_line(line),
-        }
-    }
-
-    /// Maps a line address to a set index through each policy's fastest
-    /// path: identical results to [`Self::set_index_of_line`], but Random
-    /// Modulo is allowed to consult and fill its per-segment permutation
-    /// memo (which needs `&mut self`).  The cache model calls this once per
-    /// access.
-    #[inline]
-    pub fn set_index_of_line_mut(&mut self, line: LineAddr) -> u32 {
-        match self {
-            Placement::RandomModulo(p) => p.set_index_of_line_cached(line),
-            other => other.set_index_of_line(line),
-        }
-    }
-
-    /// Maps a byte address to a set index in `0..sets`.
-    pub fn set_index(&self, addr: Address) -> u32 {
-        self.set_index_of_line(self.geometry().line_addr(addr))
-    }
-
-    /// Installs a new random seed, i.e. selects a new cache layout.
-    pub fn reseed(&mut self, seed: u64) {
-        match self {
-            Placement::Modulo(p) => p.reseed(seed),
-            Placement::Xor(p) => p.reseed(seed),
-            Placement::HashRandom(p) => p.reseed(seed),
-            Placement::RandomModulo(p) => p.reseed(seed),
-            Placement::Custom(p) => p.reseed(seed),
-        }
-    }
-
-    /// The currently installed seed.
-    pub fn seed(&self) -> u64 {
-        self.as_dyn().seed()
-    }
-
-    /// Which policy this is.
-    pub fn kind(&self) -> PlacementKind {
-        self.as_dyn().kind()
-    }
-
-    /// Whether the layout depends on the seed.
-    pub fn is_randomized(&self) -> bool {
-        self.as_dyn().is_randomized()
-    }
-
-    /// Whether the set index must be stored alongside the tag.
-    pub fn stores_index_in_tag(&self) -> bool {
-        self.as_dyn().stores_index_in_tag()
-    }
-
-    /// Borrows the policy through the common trait (for code that is
-    /// generic over [`PlacementPolicy`], e.g. the layout-census helpers).
-    pub fn as_dyn(&self) -> &dyn PlacementPolicy {
-        match self {
-            Placement::Modulo(p) => p,
-            Placement::Xor(p) => p,
-            Placement::HashRandom(p) => p,
-            Placement::RandomModulo(p) => p,
-            Placement::Custom(p) => p.as_ref(),
-        }
-    }
-}
-
-impl From<Box<dyn PlacementPolicy>> for Placement {
-    /// Adapts a boxed policy into the enum (dispatched dynamically, at the
-    /// old virtual-call cost).
-    fn from(policy: Box<dyn PlacementPolicy>) -> Self {
-        Placement::Custom(policy)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Lane-batched placement (wavefront engine)
 // ---------------------------------------------------------------------------
 
@@ -355,17 +197,31 @@ impl From<Box<dyn PlacementPolicy>> for Placement {
 ///   probes one contiguous K-wide row per way instead of K scattered sets.
 /// * **hRP** keeps per-lane round keys; [`Self::index_lanes`] runs K
 ///   independent hash chains in one fixed-trip sweep, which the CPU
-///   overlaps (the scalar engine serialises the ~20-operation dependency
-///   chain per access — the main reason hRP trailed MOD by ~2x).
+///   overlaps (one hash at a time serialises its ~20-operation dependency
+///   chain per access), and memoises each line's K indices.
 /// * **RM** shares one Benes network and keeps per-slot, per-lane
 ///   bit-permutation tables; a memo miss routes the segment once per lane,
 ///   and every access is two table loads and one XOR per lane.
-/// * **Custom** (boxed [`PlacementPolicy`] implementations) falls back to
-///   one scalar virtual call per lane — external policies keep working,
-///   at the pre-wavefront cost.
 ///
-/// Every lane's mapping is bit-identical to a scalar [`Placement`] reseeded
-/// with the same value; the batch-equivalence suites pin this.
+/// Every lane's mapping is bit-identical to the pure
+/// [`PlacementPolicy::set_index_of_line`] of the same policy reseeded with
+/// the same value, at every width; this module's tests pin it for every
+/// index, and the reference-model suite pins whole runs against it.
+///
+/// ```
+/// use randmod_core::{CacheGeometry, LineAddr, PlacementKind, PlacementLanes};
+///
+/// # fn main() -> Result<(), randmod_core::ConfigError> {
+/// let geometry = CacheGeometry::leon3_l1();
+/// let mut policy = PlacementKind::RandomModulo.build(geometry)?;
+/// let mut bank = PlacementLanes::new(PlacementKind::RandomModulo, geometry, 2)?;
+/// policy.reseed(7);
+/// bank.reseed_lane(1, 7);
+/// let line = LineAddr::new(0x20_0000);
+/// assert_eq!(bank.index_lane(1, line), policy.set_index_of_line(line));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct PlacementLanes {
     lanes: usize,
@@ -380,9 +236,6 @@ enum LaneBackend {
     Xor(XorPlacement),
     HashRandom(HashRandomLanes),
     RandomModulo(RandomModuloLanes),
-    /// Boxed trait-object policies, one clone per lane, dispatched through
-    /// the scalar path.
-    Custom(Vec<Placement>),
 }
 
 impl PlacementLanes {
@@ -415,27 +268,6 @@ impl PlacementLanes {
         Ok(PlacementLanes { lanes, backend })
     }
 
-    /// Builds a lane bank from per-lane scalar policies (the fallback for
-    /// [`Placement::Custom`] and mixed configurations).  Each lane is
-    /// dispatched through its policy's scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placements` is empty or the geometries disagree.
-    pub fn from_placements(placements: Vec<Placement>) -> Self {
-        assert!(!placements.is_empty(), "a lane bank needs at least one lane");
-        // randmod: allow(P1, non-emptiness is asserted on the previous line; panicking here is this constructor's documented contract)
-        let geometry = placements[0].geometry();
-        assert!(
-            placements.iter().all(|p| p.geometry() == geometry),
-            "all lanes must share one cache geometry"
-        );
-        PlacementLanes {
-            lanes: placements.len(),
-            backend: LaneBackend::Custom(placements),
-        }
-    }
-
     /// Number of lanes in the bank.
     pub fn lane_count(&self) -> usize {
         self.lanes
@@ -448,8 +280,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => p.geometry(),
             LaneBackend::HashRandom(p) => p.geometry,
             LaneBackend::RandomModulo(p) => p.geometry,
-            // randmod: allow(P1, Custom banks exist only via from_placements, which asserts at least one lane)
-            LaneBackend::Custom(p) => p[0].geometry(),
         }
     }
 
@@ -458,11 +288,6 @@ impl PlacementLanes {
     /// to pick the contiguous-row probe over the scattered probe.
     pub fn is_uniform(&self) -> bool {
         matches!(self.backend, LaneBackend::Modulo(_) | LaneBackend::Xor(_))
-    }
-
-    /// Whether this bank dispatches through boxed scalar policies.
-    pub fn is_custom(&self) -> bool {
-        matches!(self.backend, LaneBackend::Custom(_))
     }
 
     /// Installs a new seed on lane `lane` (selects that lane's layout).
@@ -475,8 +300,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => PlacementPolicy::reseed(p, seed),
             LaneBackend::HashRandom(p) => p.reseed_lane(lane, seed),
             LaneBackend::RandomModulo(p) => p.reseed_lane(lane, seed),
-            // randmod: allow(P1, lane < self.lanes == p.len() is asserted at the top of this method)
-            LaneBackend::Custom(p) => p[lane].reseed(seed),
         }
     }
 
@@ -514,11 +337,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => out.fill(p.set_index_of_line(line)),
             LaneBackend::HashRandom(p) => p.index_lanes(line, out),
             LaneBackend::RandomModulo(p) => p.index_lanes(line, out),
-            LaneBackend::Custom(p) => {
-                for (slot, policy) in out.iter_mut().zip(p.iter_mut()) {
-                    *slot = policy.set_index_of_line_mut(line);
-                }
-            }
         }
     }
 
@@ -532,8 +350,6 @@ impl PlacementLanes {
             LaneBackend::Xor(p) => p.set_index_of_line(line),
             LaneBackend::HashRandom(p) => p.index_lane(lane, line),
             LaneBackend::RandomModulo(p) => p.index_lane(lane, line),
-            // randmod: allow(P1, the lane cache probes only lanes below lane_count() == p.len(); the debug_assert above states the bound)
-            LaneBackend::Custom(p) => p[lane].set_index_of_line_mut(line),
         }
     }
 }
@@ -674,7 +490,7 @@ impl RandomModuloLanes {
         let segment = self.geometry.segment_of_line(line);
         let split = self.memo.split;
         if let Some(row) = self.memo.row(&self.network, &self.seeds, segment) {
-            for (slot, table) in out.iter_mut().zip(row) {
+            for (slot, table) in out.iter_mut().zip(row.chunks_exact(split.len)) {
                 *slot = split.lookup(table, modulo_index);
             }
             return;
@@ -690,7 +506,9 @@ impl RandomModuloLanes {
         let segment = self.geometry.segment_of_line(line);
         let split = self.memo.split;
         match self.memo.row(&self.network, &self.seeds, segment) {
-            Some(row) => row.get(lane).map_or(0, |table| split.lookup(table, modulo_index)),
+            Some(row) => row
+                .get(lane * split.len..(lane + 1) * split.len)
+                .map_or(0, |table| split.lookup(table, modulo_index)),
             None => self
                 .seeds
                 .get(lane)
@@ -851,7 +669,7 @@ pub struct HashRandomPlacement {
 
 /// Derives hRP's four round keys from a placement seed.
 ///
-/// Shared by the scalar policy and the lane bank so both derive exactly the
+/// Shared by the pure policy and the lane bank so both derive exactly the
 /// same keys for the same seed.
 #[inline]
 fn hrp_round_keys(seed: u64) -> [u64; 4] {
@@ -998,11 +816,9 @@ pub struct RandomModuloPlacement {
     network: BenesNetwork,
     /// Control material expanded from the seed (recomputed on reseed).
     material: RmSeed,
-    /// Per-segment permutation memo used by the `&mut self` hot path.
-    memo: SegmentLutCache,
 }
 
-/// RM's seed-derived control material.  Shared by the scalar policy and
+/// RM's seed-derived control material.  Shared by the pure policy and
 /// the lane bank so both derive exactly the same permutations for the same
 /// seed.
 #[derive(Debug, Clone, Copy)]
@@ -1053,8 +869,8 @@ impl RmSeed {
     }
 }
 
-/// Direct-mapped memo of per-segment bit-permutation tables, for one
-/// policy or for a bank of seed lanes.
+/// Direct-mapped memo of per-segment bit-permutation tables for a bank of
+/// seed lanes.
 ///
 /// Under a fixed seed, RM's mapping within one cache segment is a fixed
 /// permutation of the index *bit positions* (that is its defining
@@ -1076,13 +892,14 @@ impl RmSeed {
 #[derive(Debug, Clone)]
 struct SegmentLutCache {
     split: TableSplit,
-    /// Table pairs per slot: one for the scalar policy, K for a lane bank.
+    /// Table pairs per slot: one per lane.
     lanes: usize,
     /// Segment id resident in each slot (`u64::MAX` = empty); no slots at
     /// all when the geometry is too large to memoize.
     tags: Vec<u64>,
-    /// Slot `s`, lane `l`'s table pair at `s * lanes + l`.
-    tables: Vec<SegmentTable>,
+    /// Slot `s`, lane `l`'s table pair is the `split.len` entries from
+    /// `(s * lanes + l) * split.len`.
+    tables: Vec<u16>,
     /// Slot fills so far; each routes the segment once per lane.
     routes: u64,
 }
@@ -1090,15 +907,9 @@ struct SegmentLutCache {
 /// Direct-mapped slot count of the RM memo (a power of two).
 const RM_MEMO_SLOTS: usize = 64;
 
-/// Most index bits a segment's table pair covers.
+/// Most index bits a segment's table pair covers (each half at most 6
+/// bits, so every image fits a `u16`).
 const RM_TABLE_BITS: usize = 12;
-
-/// Entries of each half table: one per value of a 6-bit index half.
-const RM_HALF_LEN: usize = 1 << (RM_TABLE_BITS / 2);
-
-/// One segment's permutation as a pair of XOR tables: the low-half table,
-/// then the high-half table.
-type SegmentTable = [u16; 2 * RM_HALF_LEN];
 
 /// The memo slot of a segment: Fibonacci hashing on the high product bits,
 /// so segments at regular power-of-two strides spread out.
@@ -1114,26 +925,35 @@ fn rm_slot_of(segment: u64) -> usize {
 /// it is a linear map over GF(2): `P(a ^ b) = P(a) ^ P(b)`.  An index is
 /// split into its low `low_bits` bits and the remaining high bits, and
 /// `P(index) = low_table[low] ^ high_table[high]`, where each table holds
-/// the XOR of the images of its half's set bits.  With at most 12 index
-/// bits, each half has at most 6 bits and each table at most 64 entries.
+/// the XOR of the images of its half's set bits.  A pair is stored as one
+/// slice, the low table then the high table, sized to the geometry: with
+/// at most 12 index bits each half has at most 6 bits and each table at
+/// most 64 entries, and a 7-bit LEON3 L1 needs only 8 + 16.
 #[derive(Debug, Clone, Copy)]
 struct TableSplit {
     low_bits: u32,
     low_mask: u32,
+    /// Entries of the low-half table (`2^low_bits`).
+    low_len: usize,
+    /// Entries of one table pair, both halves.
+    len: usize,
 }
 
 impl TableSplit {
     fn new(network: &BenesNetwork) -> Self {
-        let low_bits = (network.wires() / 2) as u32;
+        let low_bits = network.wires() / 2;
+        let high_bits = network.wires() - low_bits;
         TableSplit {
-            low_bits,
+            low_bits: low_bits as u32,
             low_mask: (1 << low_bits) - 1,
+            low_len: 1 << low_bits,
+            len: (1 << low_bits) + (1 << high_bits),
         }
     }
 
     /// Routes one control word through `network` once and writes the
-    /// resulting permutation's table pair into `table`.
-    fn route(self, network: &BenesNetwork, controls: u128, table: &mut SegmentTable) {
+    /// resulting permutation's table pair into `table` (`len` entries).
+    fn route(self, network: &BenesNetwork, controls: u128, table: &mut [u16]) {
         // Wire `i` starts out carrying source bit position `i`; after the
         // network, output position `i` carries the source bit routed to it.
         let mut wires: [u8; RM_TABLE_BITS] = std::array::from_fn(|position| position as u8);
@@ -1150,20 +970,19 @@ impl TableSplit {
         let (low_images, high_images) = images.split_at(self.low_bits as usize);
         let high_bits = wires.len() - low_images.len();
         let high_images = high_images.get(..high_bits).unwrap_or_default();
-        let (low_table, high_table) = table.split_at_mut(RM_HALF_LEN);
+        let (low_table, high_table) = table.split_at_mut(self.low_len.min(table.len()));
         fill_xor_table(low_table, low_images);
         fill_xor_table(high_table, high_images);
     }
 
-    /// The permuted index of `index` under the permutation `table` holds.
+    /// The permuted index of `index` (a modulo index of the geometry)
+    /// under the permutation `table` holds.
     #[inline]
-    fn lookup(self, table: &SegmentTable, index: u32) -> u32 {
-        // The `RM_HALF_LEN - 1` masks only restate the table bounds (the
-        // halves are at most 6 bits wide), so the loads need no checks.
-        let low = (index & self.low_mask) as usize & (RM_HALF_LEN - 1);
-        let high = (index >> self.low_bits) as usize & (RM_HALF_LEN - 1);
+    fn lookup(self, table: &[u16], index: u32) -> u32 {
+        let low = (index & self.low_mask) as usize;
+        let high = (index >> self.low_bits) as usize;
         let low_image = table.get(low).copied().unwrap_or_default();
-        let high_image = table.get(RM_HALF_LEN + high).copied().unwrap_or_default();
+        let high_image = table.get(self.low_len + high).copied().unwrap_or_default();
         u32::from(low_image ^ high_image)
     }
 }
@@ -1187,7 +1006,7 @@ fn fill_xor_table(table: &mut [u16], images: &[u16]) {
 
 impl SegmentLutCache {
     /// Upper bound on sets for which memoization applies: the index must
-    /// fit the two halves of a [`SegmentTable`].
+    /// fit the two halves of a table pair.
     const MAX_SETS: u32 = 1 << RM_TABLE_BITS;
 
     fn new(geometry: CacheGeometry, network: &BenesNetwork, lanes: usize) -> Self {
@@ -1196,31 +1015,33 @@ impl SegmentLutCache {
         } else {
             0
         };
+        let split = TableSplit::new(network);
         SegmentLutCache {
-            split: TableSplit::new(network),
+            split,
             lanes,
             tags: vec![u64::MAX; slots],
-            tables: vec![[0; 2 * RM_HALF_LEN]; slots * lanes],
+            tables: vec![0; slots * lanes * split.len],
             routes: 0,
         }
     }
 
-    /// The row of per-lane table pairs serving `segment`, routing the
-    /// segment once per lane under `seeds` on a slot miss; `None` when
-    /// memoization is disabled.
+    /// The row of per-lane table pairs serving `segment` (lane `l`'s pair
+    /// at `l * split.len`), routing the segment once per lane under
+    /// `seeds` on a slot miss; `None` when memoization is disabled.
     #[inline]
     fn row(
         &mut self,
         network: &BenesNetwork,
         seeds: &[RmSeed],
         segment: u64,
-    ) -> Option<&[SegmentTable]> {
+    ) -> Option<&[u16]> {
         let slot = rm_slot_of(segment);
         let tag = self.tags.get_mut(slot)?;
-        let row = self.tables.get_mut(slot * self.lanes..(slot + 1) * self.lanes)?;
+        let width = self.lanes * self.split.len;
+        let row = self.tables.get_mut(slot * width..(slot + 1) * width)?;
         if *tag != segment {
             *tag = segment;
-            for (table, seed) in row.iter_mut().zip(seeds) {
+            for (table, seed) in row.chunks_exact_mut(self.split.len).zip(seeds) {
                 let controls = seed.control_word(network.control_bits(), segment);
                 self.split.route(network, controls, table);
             }
@@ -1241,27 +1062,8 @@ impl RandomModuloPlacement {
         RandomModuloPlacement {
             geometry,
             seed: 0,
-            memo: SegmentLutCache::new(geometry, &network, 1),
             network,
             material: RmSeed::new(0),
-        }
-    }
-
-    /// Maps a line address to its set index through the per-segment
-    /// permutation memo — the cache-model hot path.
-    ///
-    /// Bit-identical to [`PlacementPolicy::set_index_of_line`] (memo
-    /// tables are pure functions of the segment and the installed seed);
-    /// the `&mut self` receiver is only used to fill memo slots.
-    #[inline]
-    pub fn set_index_of_line_cached(&mut self, line: LineAddr) -> u32 {
-        let modulo_index = self.geometry.modulo_index_of_line(line);
-        let segment = self.geometry.segment_of_line(line);
-        let split = self.memo.split;
-        let seeds = std::slice::from_ref(&self.material);
-        match self.memo.row(&self.network, seeds, segment) {
-            Some([table]) => split.lookup(table, modulo_index),
-            _ => self.material.walk(&self.network, segment, modulo_index),
         }
     }
 
@@ -1296,8 +1098,6 @@ impl PlacementPolicy for RandomModuloPlacement {
     fn reseed(&mut self, seed: u64) {
         self.seed = seed;
         self.material = RmSeed::new(seed);
-        // A new seed selects new per-segment permutations.
-        self.memo.invalidate();
     }
 
     fn seed(&self) -> u64 {
@@ -1635,6 +1435,13 @@ mod tests {
             .collect()
     }
 
+    /// The pure policy of `kind` on `geometry`, reseeded with `seed`.
+    fn pure(kind: PlacementKind, geometry: CacheGeometry, seed: u64) -> Box<dyn PlacementPolicy> {
+        let mut policy = kind.build(geometry).unwrap();
+        policy.reseed(seed);
+        policy
+    }
+
     #[test]
     fn rm_memoized_index_matches_the_pure_network_walk() {
         // The per-segment tables must be invisible.  For every index width
@@ -1642,25 +1449,54 @@ mod tests {
         // does not (13 bits, the direct walk), every index of a segment
         // stream that interleaves three segments sharing one slot with
         // segments in their own slots, across reseeds (which must drop
-        // every slot), the cached path returns exactly what the pure Benes
-        // walk returns.
+        // every slot), a one-lane bank and every lane of a four-lane bank
+        // return exactly what the pure Benes walk returns, through both
+        // the sparse and the wave entry points.
         let mut stream = segments_sharing_a_slot(0x5EED, 3);
         stream.extend(segments_in_distinct_slots(4));
         stream.push(0x3_FFFF);
+        let seeds = [0u64, 1, 0xDEAD_BEEF, u64::MAX];
+        const K: usize = 4;
         for bits in 0..=13u32 {
             let geometry = CacheGeometry::new(1 << bits, 2, 32).unwrap();
-            let mut policy = RandomModuloPlacement::new(geometry);
-            for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-                policy.reseed(seed);
+            let mut single = RandomModuloLanes::new(geometry, 1);
+            let mut bank = RandomModuloLanes::new(geometry, K);
+            for round in 0..seeds.len() {
+                // Lane `l` runs seed `round + l`, so every lane of the wide
+                // bank sees every seed and each round reseeds all lanes.
+                let lane_seeds: Vec<u64> =
+                    (0..K).map(|lane| seeds[(round + lane) % seeds.len()]).collect();
+                let policies: Vec<RandomModuloPlacement> = lane_seeds
+                    .iter()
+                    .map(|&seed| {
+                        let mut policy = RandomModuloPlacement::new(geometry);
+                        PlacementPolicy::reseed(&mut policy, seed);
+                        policy
+                    })
+                    .collect();
+                single.reseed_lane(0, lane_seeds[0]);
+                for (lane, &seed) in lane_seeds.iter().enumerate() {
+                    bank.reseed_lane(lane, seed);
+                }
+                let mut out = [0u32; K];
                 for index in 0..geometry.sets() as u64 {
                     for &segment in &stream {
                         let line = LineAddr::new((segment << bits) | index);
-                        let pure = PlacementPolicy::set_index_of_line(&policy, line);
+                        let walks: [u32; K] =
+                            std::array::from_fn(|lane| policies[lane].set_index_of_line(line));
                         assert_eq!(
-                            policy.set_index_of_line_cached(line),
-                            pure,
-                            "{bits}-bit memo diverged for line {line} under seed {seed:#x}"
+                            single.index_lane(0, line),
+                            walks[0],
+                            "width 1: {bits}-bit memo, line {line}, round {round}"
                         );
+                        let lane = (index as usize + segment as usize) % K;
+                        assert_eq!(
+                            bank.index_lane(lane, line),
+                            walks[lane],
+                            "lane {lane}: {bits}-bit memo, line {line}, round {round}"
+                        );
+                        bank.index_lanes(line, &mut out);
+                        assert_eq!(out, walks, "wave: {bits}-bit memo, line {line}, round {round}");
                     }
                 }
             }
@@ -1672,14 +1508,14 @@ mod tests {
             CacheGeometry::leon3_l2_partition(),
             CacheGeometry::new(8, 2, 32).unwrap(),
         ] {
-            let mut policy = RandomModuloPlacement::new(geometry);
+            let mut single = PlacementLanes::new(PlacementKind::RandomModulo, geometry, 1).unwrap();
             let mut sm = SplitMix64::new(0x5EED_CAFE);
-            for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-                policy.reseed(seed);
+            for seed in seeds {
+                let policy = pure(PlacementKind::RandomModulo, geometry, seed);
+                single.reseed_lane(0, seed);
                 for _ in 0..5_000 {
                     let line = LineAddr::new(sm.next_u64() & 0x3FF_FFFF);
-                    let pure = PlacementPolicy::set_index_of_line(&policy, line);
-                    assert_eq!(policy.set_index_of_line_cached(line), pure, "{line}");
+                    assert_eq!(single.index_lane(0, line), policy.set_index_of_line(line), "{line}");
                 }
             }
         }
@@ -1688,117 +1524,96 @@ mod tests {
     #[test]
     fn rm_memo_routes_each_resident_segment_once() {
         // After a reseed, reading every index of S segments in distinct
-        // slots costs exactly S network routes, in both memo forms, and
-        // re-reading them costs none.  Two segments sharing a slot cost one
-        // route per swap.
+        // slots costs exactly S network routes, at width 1 and width 3,
+        // and re-reading them costs none.  Two segments sharing a slot
+        // cost one route per swap.
         let geometry = CacheGeometry::leon3_l2_partition();
         let segments = segments_in_distinct_slots(24);
         let line = |segment: u64, index: u64| LineAddr::new((segment << 10) | index);
-        let mut policy = RandomModuloPlacement::new(geometry);
+        let mut single = RandomModuloLanes::new(geometry, 1);
         let mut bank = RandomModuloLanes::new(geometry, 3);
         for seed in [7u64, 8] {
-            policy.reseed(seed);
+            single.reseed_lane(0, seed);
             for lane in 0..3 {
                 bank.reseed_lane(lane, seed + lane as u64);
             }
             for pass in 0..2 {
-                let (scalar_before, bank_before) = (policy.memo.routes, bank.memo.routes);
+                let (single_before, bank_before) = (single.memo.routes, bank.memo.routes);
                 let mut out = [0u32; 3];
                 for &segment in &segments {
                     for index in 0..geometry.sets() as u64 {
-                        policy.set_index_of_line_cached(line(segment, index));
+                        single.index_lane(0, line(segment, index));
                         bank.index_lanes(line(segment, index), &mut out);
                         bank.index_lane(1, line(segment, index));
                     }
                 }
                 let expected = if pass == 0 { segments.len() as u64 } else { 0 };
-                assert_eq!(policy.memo.routes - scalar_before, expected, "seed {seed} pass {pass}");
+                assert_eq!(single.memo.routes - single_before, expected, "seed {seed} pass {pass}");
                 assert_eq!(bank.memo.routes - bank_before, expected, "seed {seed} pass {pass}");
             }
         }
         let pair = segments_sharing_a_slot(0, 2);
-        let before = policy.memo.routes;
+        let before = single.memo.routes;
         for round in 0..10 {
-            policy.set_index_of_line_cached(line(pair[round % 2], 5));
+            single.index_lane(0, line(pair[round % 2], 5));
         }
-        assert_eq!(policy.memo.routes - before, 10);
+        assert_eq!(single.memo.routes - before, 10);
     }
 
     #[test]
     fn placement_mut_path_matches_shared_path_for_all_kinds() {
+        // The memoising `&mut` path of a one-lane bank (what a one-lane
+        // cache bank calls once per access) against the pure `&self`
+        // mapping, for every kind.
         let geometry = l1();
         let mut sm = SplitMix64::new(42);
         for kind in PlacementKind::ALL {
-            let mut placement = Placement::new(kind, geometry).unwrap();
-            placement.reseed(1234);
+            let policy = pure(kind, geometry, 1234);
+            let mut bank = PlacementLanes::new(kind, geometry, 1).unwrap();
+            bank.reseed_lane(0, 1234);
             for _ in 0..2_000 {
                 let line = LineAddr::new(sm.next_u64() & 0xFF_FFFF);
-                assert_eq!(
-                    placement.set_index_of_line_mut(line),
-                    placement.set_index_of_line(line),
-                    "{kind}"
-                );
+                assert_eq!(bank.index_lane(0, line), policy.set_index_of_line(line), "{kind}");
             }
         }
     }
 
     #[test]
     fn static_placement_matches_boxed_policy() {
-        // The enum must be behaviourally identical to the boxed trait
-        // object it replaces, for every kind, seed and address.
+        // The statically dispatched bank must be behaviourally identical to
+        // the boxed trait object, for every kind, across a sequence of
+        // reseeds of one lane and byte addresses spanning 4 GiB.
         let geometry = l1();
         let mut sm = SplitMix64::new(2024);
         for kind in PlacementKind::ALL {
-            let mut fast = Placement::new(kind, geometry).unwrap();
+            let mut fast = PlacementLanes::new(kind, geometry, 1).unwrap();
             let mut boxed = kind.build(geometry).unwrap();
-            assert_eq!(fast.kind(), kind);
             assert_eq!(fast.geometry(), geometry);
-            assert_eq!(fast.is_randomized(), kind.is_randomized());
-            assert_eq!(fast.stores_index_in_tag(), kind.stores_index_in_tag());
+            assert_eq!(fast.is_uniform(), !kind.is_randomized());
             for _ in 0..5 {
                 let seed = sm.next_u64();
-                fast.reseed(seed);
+                fast.reseed_lane(0, seed);
                 boxed.reseed(seed);
-                assert_eq!(fast.seed(), seed);
+                assert_eq!(boxed.seed(), seed);
+                let mut out = [0u32; 1];
                 for _ in 0..500 {
                     let addr = Address::new(sm.next_u64() & 0xFFFF_FFFF);
-                    assert_eq!(fast.set_index(addr), boxed.set_index(addr), "{kind}");
                     let line = geometry.line_addr(addr);
-                    assert_eq!(
-                        fast.set_index_of_line(line),
-                        boxed.set_index_of_line(line),
-                        "{kind}"
-                    );
+                    fast.index_lanes(line, &mut out);
+                    assert_eq!(out[0], boxed.set_index(addr), "{kind}");
+                    assert_eq!(fast.index_lane(0, line), out[0], "{kind}");
                 }
             }
         }
     }
 
     #[test]
-    fn custom_variant_adapts_boxed_policies() {
-        let geometry = l1();
-        let mut custom = Placement::from(PlacementKind::RandomModulo.build(geometry).unwrap());
-        assert!(matches!(custom, Placement::Custom(_)));
-        assert_eq!(custom.kind(), PlacementKind::RandomModulo);
-        custom.reseed(42);
-        let mut reference = RandomModuloPlacement::new(geometry);
-        reference.reseed(42);
-        for i in 0..128u64 {
-            let addr = Address::new(0x8000_0000 + i * 32);
-            assert_eq!(custom.set_index(addr), reference.set_index(addr));
-        }
-        // The adapter still round-trips through the trait view and clones.
-        let cloned = custom.clone();
-        assert_eq!(cloned.as_dyn().seed(), 42);
-    }
-
-    #[test]
     fn lane_bank_matches_scalar_placements_per_lane() {
         // Every lane of the wavefront bank must be bit-identical to the
-        // pure mapping of a scalar Placement reseeded with the same value
-        // (for RM, the Benes walk, not the memo the bank shares its table
-        // builder with) — for all four policies, partial waves, and the
-        // single-lane sparse path.
+        // pure mapping of its policy reseeded with the same value (for RM,
+        // the Benes walk, not the memo the bank builds its tables from) —
+        // for all four policies, partial waves, and the single-lane sparse
+        // path.
         for geometry in [CacheGeometry::leon3_l1(), CacheGeometry::leon3_l2_partition()] {
             for kind in PlacementKind::ALL {
                 for lanes in [1usize, 3, 8] {
@@ -1806,13 +1621,11 @@ mod tests {
                     assert_eq!(bank.lane_count(), lanes);
                     assert_eq!(bank.geometry(), geometry);
                     assert_eq!(bank.is_uniform(), !kind.is_randomized());
-                    let scalars: Vec<Placement> = (0..lanes)
+                    let references: Vec<Box<dyn PlacementPolicy>> = (0..lanes)
                         .map(|lane| {
-                            let mut p = Placement::new(kind, geometry).unwrap();
                             let seed = (lane as u64) * 0x9E37_79B9 + 0xC0FFEE;
-                            p.reseed(seed);
                             bank.reseed_lane(lane, seed);
-                            p
+                            pure(kind, geometry, seed)
                         })
                         .collect();
                     let mut sm = SplitMix64::new(0xABCD);
@@ -1821,17 +1634,17 @@ mod tests {
                         let line = LineAddr::new(sm.next_u64() & 0x3FF_FFFF);
                         let active = 1 + step % lanes;
                         bank.index_lanes(line, &mut out[..active]);
-                        for (lane, scalar) in scalars.iter().take(active).enumerate() {
+                        for (lane, reference) in references.iter().take(active).enumerate() {
                             assert_eq!(
                                 out[lane],
-                                scalar.set_index_of_line(line),
+                                reference.set_index_of_line(line),
                                 "{kind} lane {lane} of {lanes}"
                             );
                         }
                         let lone = step % lanes;
                         assert_eq!(
                             bank.index_lane(lone, line),
-                            scalars[lone].set_index_of_line(line),
+                            references[lone].set_index_of_line(line),
                             "{kind} sparse lane {lone}"
                         );
                         if kind.is_randomized() {
@@ -1849,16 +1662,14 @@ mod tests {
     fn lane_bank_reseed_matches_scalar_reseed() {
         // Reseeding one lane mid-campaign (what every batch does) must
         // leave the other lanes' mappings untouched and bit-identical to
-        // the pure scalar mapping.
+        // the pure mapping.
         let geometry = l1();
         for kind in [PlacementKind::HashRandom, PlacementKind::RandomModulo] {
             let mut bank = PlacementLanes::new(kind, geometry, 4).unwrap();
-            let mut scalars: Vec<Placement> = (0..4)
+            let mut references: Vec<Box<dyn PlacementPolicy>> = (0..4)
                 .map(|lane| {
-                    let mut p = Placement::new(kind, geometry).unwrap();
-                    p.reseed(lane as u64 + 7);
                     bank.reseed_lane(lane, lane as u64 + 7);
-                    p
+                    pure(kind, geometry, lane as u64 + 7)
                 })
                 .collect();
             let mut sm = SplitMix64::new(9);
@@ -1866,7 +1677,7 @@ mod tests {
                 let reseeded = round % 4;
                 let seed = sm.next_u64();
                 bank.reseed_lane(reseeded, seed);
-                scalars[reseeded].reseed(seed);
+                references[reseeded].reseed(seed);
                 let mut out = [0u32; 4];
                 // Wide lines mostly miss the memos; the narrow ones (eight
                 // L1 segments) hit slots filled before the reseed, which
@@ -1875,47 +1686,10 @@ mod tests {
                     let mask = if step % 2 == 0 { 0xFF_FFFF } else { 0x3FF };
                     let line = LineAddr::new(sm.next_u64() & mask);
                     bank.index_lanes(line, &mut out);
-                    for (lane, scalar) in scalars.iter().enumerate() {
-                        assert_eq!(out[lane], scalar.set_index_of_line(line), "{kind}");
+                    for (lane, reference) in references.iter().enumerate() {
+                        assert_eq!(out[lane], reference.set_index_of_line(line), "{kind}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn custom_lane_bank_routes_through_scalar_policies() {
-        // Placement::Custom lanes keep working through the boxed scalar
-        // path: the bank reports non-uniform custom dispatch and matches
-        // per-lane boxed references exactly.
-        let geometry = l1();
-        let placements: Vec<Placement> = (0..3)
-            .map(|lane| {
-                let mut p =
-                    Placement::from(PlacementKind::RandomModulo.build(geometry).unwrap());
-                p.reseed(lane as u64 * 31 + 5);
-                p
-            })
-            .collect();
-        let mut bank = PlacementLanes::from_placements(placements);
-        assert!(bank.is_custom());
-        assert!(!bank.is_uniform());
-        assert_eq!(bank.lane_count(), 3);
-        let mut references: Vec<Box<dyn PlacementPolicy>> = (0..3)
-            .map(|lane| {
-                let mut p = PlacementKind::RandomModulo.build(geometry).unwrap();
-                p.reseed(lane as u64 * 31 + 5);
-                p
-            })
-            .collect();
-        let mut sm = SplitMix64::new(77);
-        let mut out = [0u32; 3];
-        for _ in 0..2_000 {
-            let line = LineAddr::new(sm.next_u64() & 0xFF_FFFF);
-            bank.index_lanes(line, &mut out);
-            for (lane, reference) in references.iter_mut().enumerate() {
-                assert_eq!(out[lane], reference.set_index_of_line(line));
-                assert_eq!(bank.index_lane(lane, line), out[lane]);
             }
         }
     }

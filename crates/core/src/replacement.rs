@@ -227,22 +227,14 @@ impl ReplacementState {
         }
     }
 
-    /// Selects the way of `set` to evict when the set is full.
-    ///
-    /// Random replacement draws from `rng`; the other policies ignore it.
-    #[inline]
-    pub fn victim(&mut self, set: u32, rng: &mut CombinedLfsr) -> u32 {
-        self.victim_with(set, |ways| rng.next_below(ways))
-    }
-
     /// Selects the way of `set` to evict, drawing any random word from the
     /// caller-supplied `draw` closure (called with the way count, at most
     /// once, and only under [`ReplacementKind::Random`]).
     ///
-    /// The lane-batched engine keeps one PRNG *bank* for all seed lanes, so
-    /// it cannot hand over a `&mut CombinedLfsr`; routing both engines
-    /// through this one implementation keeps every policy detail — including
-    /// LRU's choice among equal ranks — in exactly one place.
+    /// The cache bank keeps one PRNG *bank* for all its seed lanes, so it
+    /// hands over a per-lane draw rather than a generator; every policy
+    /// detail — including LRU's choice among equal ranks — stays in this
+    /// one place.
     #[inline]
     pub fn victim_with(&mut self, set: u32, draw: impl FnOnce(u32) -> u32) -> u32 {
         debug_assert!(set < self.sets);
@@ -412,7 +404,7 @@ mod tests {
                 flat.touch(set, way);
                 nested[set as usize].touch(way);
                 assert_eq!(
-                    flat.victim(set, &mut rng_a),
+                    flat.victim_with(set, |ways| rng_a.next_below(ways)),
                     nested[set as usize].victim(&mut rng_b),
                     "diverged at step {step} (kind {kind})"
                 );

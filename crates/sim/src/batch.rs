@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn batched_replay_matches_sequential_for_write_back_l1_and_lru() {
         // Exercise dirty-line bookkeeping and the LRU full path (where the
-        // MRU fast path must stay disarmed).
+        // residency filter must stay disarmed).
         let mut config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
         config.dl1.write_policy = WritePolicy::WriteBack;
         config.il1.replacement = ReplacementKind::Lru;

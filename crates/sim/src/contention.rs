@@ -30,29 +30,33 @@
 //! state — extra victim misses caused by opponent fills.  The
 //! interleaving granularity is one trace event per arbitration step.
 //!
-//! **One engine, one seed per run.**  [`ContentionCore`] is the only
-//! contended engine: [`crate::run::Campaign::run_contended`] runs it once
-//! per placement seed under either arbitration policy, whatever the
-//! campaign's lane count (an idle co-schedule takes the solo
+//! **One engine, one seed per run, one cache model.**  [`ContentionCore`]
+//! is the only contended engine: [`crate::run::Campaign::run_contended`]
+//! runs it once per placement seed under either arbitration policy,
+//! whatever the campaign's lane count (an idle co-schedule takes the solo
 //! [`crate::batch::BatchCore`] path instead).  It is not lane-batched
 //! because a contended lane carries per-task L1 pairs plus a shared L2,
 //! and on that state size lanes did not pay for their machinery
-//! (EXPERIMENTS.md, "One contended engine").
+//! (EXPERIMENTS.md, "One contended engine").  Every cache it holds is a
+//! one-lane [`SetAssocCacheLanes`] bank, the model the solo engines step
+//! K lanes at a time, probed through the sparse per-lane path
+//! (EXPERIMENTS.md, "One cache implementation").
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
 //! (empty-trace) opponents reproduces the single-task engine exactly:
 //! the seed→layout derivation of [`SharedL2Hierarchy::reseed`] draws the
 //! victim's IL1, DL1 and the shared L2 seeds in the same order as the
-//! solo engine's per-lane reseed, and the per-event access paths apply the
-//! same lean probe semantics the lane banks do.  `tests/contention_equivalence.rs`
-//! pins this bit-identity against `InOrderCore` and `Campaign::run_seeds`.
+//! solo engine's per-lane reseed, and the per-event access paths book
+//! latency and counters as the solo lane waves do.
+//! `tests/contention_equivalence.rs` pins this bit-identity against
+//! `InOrderCore` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
-use crate::hierarchy::{read_lean, store_lean, HierarchyStats, RunCounters};
+use crate::hierarchy::{read_one_lane, store_one_lane, HierarchyStats, RunCounters};
 use crate::trace::MemEvent;
-use randmod_core::cache::{AccessKind, SetAssocCache};
+use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
-use randmod_core::{ConfigError, LineAddr};
+use randmod_core::{Address, ConfigError, LineAddr};
 use std::fmt;
 use std::str::FromStr;
 
@@ -99,11 +103,11 @@ impl FromStr for Arbitration {
     }
 }
 
-/// One task's private first-level caches.
+/// One task's private first-level caches, each a one-lane bank.
 #[derive(Debug, Clone)]
 struct TaskL1 {
-    il1: SetAssocCache,
-    dl1: SetAssocCache,
+    il1: SetAssocCacheLanes,
+    dl1: SetAssocCacheLanes,
 }
 
 /// `K` tasks' private L1 pairs over one shared L2 partition.
@@ -123,11 +127,13 @@ struct TaskL1 {
 pub struct SharedL2Hierarchy {
     config: PlatformConfig,
     tasks: Vec<TaskL1>,
-    l2: SetAssocCache,
-    /// Offset bits of the IL1 / DL1 geometry, for the per-event line
+    /// The shared L2 partition, a one-lane bank.
+    l2: SetAssocCacheLanes,
+    /// Offset bits of the IL1 / DL1 / L2 geometry, for the per-event line
     /// reduction of the lean access paths.
     il1_shift: u32,
     dl1_shift: u32,
+    l2_shift: u32,
 }
 
 impl SharedL2Hierarchy {
@@ -139,8 +145,8 @@ impl SharedL2Hierarchy {
     /// Returns [`ConfigError`] if the configuration is invalid.
     pub fn new(config: &PlatformConfig, tasks: usize) -> Result<Self, ConfigError> {
         config.validate()?;
-        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCache, ConfigError> {
-            SetAssocCache::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy)
+        let build = |c: &crate::config::CacheConfig| -> Result<SetAssocCacheLanes, ConfigError> {
+            SetAssocCacheLanes::with_kinds(c.geometry, c.placement, c.replacement, c.write_policy, 1)
         };
         let tasks = (0..tasks.max(1))
             .map(|_| {
@@ -156,6 +162,7 @@ impl SharedL2Hierarchy {
             l2: build(&config.l2)?,
             il1_shift: config.il1.geometry.offset_bits(),
             dl1_shift: config.dl1.geometry.offset_bits(),
+            l2_shift: config.l2.geometry.offset_bits(),
         })
     }
 
@@ -167,11 +174,6 @@ impl SharedL2Hierarchy {
     /// The configuration this hierarchy was built from.
     pub fn config(&self) -> &PlatformConfig {
         &self.config
-    }
-
-    /// Read-only access to the shared L2 partition.
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
     }
 
     /// Installs a new placement seed in every cache and flushes all
@@ -188,22 +190,22 @@ impl SharedL2Hierarchy {
         let mut sm = SplitMix64::new(seed);
         let mut tasks = self.tasks.iter_mut();
         if let Some(first) = tasks.next() {
-            first.il1.reseed(sm.next_u64());
-            first.dl1.reseed(sm.next_u64());
+            first.il1.reseed_wave(&[sm.next_u64()]);
+            first.dl1.reseed_wave(&[sm.next_u64()]);
         }
-        self.l2.reseed(sm.next_u64());
+        self.l2.reseed_wave(&[sm.next_u64()]);
         for task in tasks {
-            task.il1.reseed(sm.next_u64());
-            task.dl1.reseed(sm.next_u64());
+            task.il1.reseed_wave(&[sm.next_u64()]);
+            task.dl1.reseed_wave(&[sm.next_u64()]);
         }
     }
 
     /// Replays one event of `task` and returns its latency in cycles.
     /// Accesses go through the task's private L1 and the shared L2 on the
-    /// lean [`crate::hierarchy`] paths, which book latency and statistics
-    /// exactly as the solo lane waves do.  Statistics go to the caller's
-    /// per-task counter block: its L2 half tracks the task's *own* L2
-    /// traffic, not the shared aggregate.
+    /// one-lane [`crate::hierarchy`] paths, which book latency and
+    /// statistics exactly as the solo lane waves do.  Statistics go to the
+    /// caller's per-task counter block: its L2 half tracks the task's
+    /// *own* L2 traffic, not the shared aggregate.
     ///
     /// # Panics
     ///
@@ -213,36 +215,35 @@ impl SharedL2Hierarchy {
         // randmod: allow(P1, the documented Panics contract: the only caller, ContentionCore::execute_contended, passes a task index below task_count())
         let l1 = &mut self.tasks[task];
         let latencies = &self.config.latencies;
+        let l2_line = |addr: Address| LineAddr::new(addr.raw() >> self.l2_shift);
         match event {
             MemEvent::Compute(cycles) => cycles as u64,
-            MemEvent::InstrFetch(addr) => {
-                let line = LineAddr::new(addr.raw() >> self.il1_shift);
-                read_lean(
-                    &mut l1.il1,
-                    &mut self.l2,
-                    latencies,
-                    addr,
-                    line,
-                    AccessKind::InstructionFetch,
-                    counters,
-                )
-            }
-            MemEvent::Load(addr) => {
-                let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                read_lean(
-                    &mut l1.dl1,
-                    &mut self.l2,
-                    latencies,
-                    addr,
-                    line,
-                    AccessKind::Load,
-                    counters,
-                )
-            }
-            MemEvent::Store(addr) => {
-                let line = LineAddr::new(addr.raw() >> self.dl1_shift);
-                store_lean(&mut l1.dl1, &mut self.l2, latencies, addr, line, counters)
-            }
+            MemEvent::InstrFetch(addr) => read_one_lane(
+                &mut l1.il1,
+                &mut self.l2,
+                latencies,
+                LineAddr::new(addr.raw() >> self.il1_shift),
+                l2_line(addr),
+                AccessKind::InstructionFetch,
+                counters,
+            ),
+            MemEvent::Load(addr) => read_one_lane(
+                &mut l1.dl1,
+                &mut self.l2,
+                latencies,
+                LineAddr::new(addr.raw() >> self.dl1_shift),
+                l2_line(addr),
+                AccessKind::Load,
+                counters,
+            ),
+            MemEvent::Store(addr) => store_one_lane(
+                &mut l1.dl1,
+                &mut self.l2,
+                latencies,
+                LineAddr::new(addr.raw() >> self.dl1_shift),
+                l2_line(addr),
+                counters,
+            ),
         }
     }
 }
@@ -376,7 +377,7 @@ impl ContentionCore {
 mod tests {
     use super::*;
     use crate::trace::Trace;
-    use randmod_core::{Address, PlacementKind};
+    use randmod_core::PlacementKind;
 
     fn config() -> PlatformConfig {
         PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo)

@@ -11,13 +11,15 @@
 //!   write-through update of the L2 contents.
 //!
 //! A seed change re-randomises every cache's placement and flushes all
-//! contents, as the real design does.  The solo hierarchy is the
-//! lane-banked `LaneHierarchy` behind [`crate::batch::BatchCore`]; the
-//! scalar `read_lean` / `store_lean` paths serve the contended
-//! [`crate::contention::SharedL2Hierarchy`].
+//! contents, as the real design does.  Every cache is a
+//! [`SetAssocCacheLanes`] bank.  The solo hierarchy is the lane-banked
+//! `LaneHierarchy` behind [`crate::batch::BatchCore`], stepped by the wave
+//! paths `read_lean_wave` and `store_lean_wave`; the contended
+//! [`crate::contention::SharedL2Hierarchy`] holds one-lane banks and steps
+//! them through `read_one_lane` and `store_one_lane`.
 
 use crate::config::{LatencyConfig, PlatformConfig};
-use randmod_core::cache::{AccessKind, SetAssocCache, SetAssocCacheLanes};
+use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
 use randmod_core::{AccessFlags, Address, CacheStats, ConfigError, LineAddr};
 use std::fmt;
@@ -132,24 +134,25 @@ impl RunCounters {
     }
 }
 
-/// The lean L1→L2→memory read path of the scalar contended
-/// [`crate::contention::SharedL2Hierarchy`] (whichever task's L1 pair
-/// sits in front of the shared L2): probes the L1, fills from the L2 on a
+/// The lean L1→L2→memory read path of one-lane banks (a contended task's
+/// L1 in front of the shared L2): probes the L1, fills from the L2 on a
 /// miss, charges the level-appropriate latency, and books everything in
-/// the caller's counter block.
+/// the caller's counter block.  The books and latency match what
+/// [`read_lean_wave`] gives each lane.
 ///
-/// `l1_line` is the L1 line of `addr`, precomputed by the caller.
+/// `l1_line` and `l2_line` are the accessed address's line in each cache,
+/// precomputed by the caller.
 #[inline]
-pub(crate) fn read_lean(
-    l1: &mut SetAssocCache,
-    l2: &mut SetAssocCache,
-    latencies: &crate::config::LatencyConfig,
-    addr: Address,
+pub(crate) fn read_one_lane(
+    l1: &mut SetAssocCacheLanes,
+    l2: &mut SetAssocCacheLanes,
+    latencies: &LatencyConfig,
     l1_line: LineAddr,
+    l2_line: LineAddr,
     kind: AccessKind,
     counters: &mut RunCounters,
 ) -> u64 {
-    let flags = l1.access_lean_line(l1_line, kind);
+    let flags = l1.access_lean_lane(0, l1_line, kind);
     let l1_counter = match kind {
         AccessKind::InstructionFetch => &mut counters.il1,
         _ => &mut counters.dl1,
@@ -158,7 +161,7 @@ pub(crate) fn read_lean(
     if flags.is_hit() {
         latencies.l1_hit as u64
     } else {
-        let l2_flags = l2.access_lean(addr, kind);
+        let l2_flags = l2.access_lean_lane(0, l2_line, kind);
         counters.l2.record(l2_flags, false);
         if l2_flags.is_hit() {
             (latencies.l1_hit + latencies.l2_hit) as u64
@@ -169,37 +172,37 @@ pub(crate) fn read_lean(
     }
 }
 
-/// The lean store path of the scalar contended hierarchy (see
-/// [`read_lean`]): the write-through DL1 is updated without allocation,
-/// the store is forwarded to the L2, and a missing L2 line is fetched
-/// from memory in the background.
+/// The lean store path of one-lane banks (see [`read_one_lane`]): the
+/// write-through DL1 is updated without allocation, the store is forwarded
+/// to the L2, and a missing L2 line is fetched from memory in the
+/// background.
 #[inline]
-pub(crate) fn store_lean(
-    dl1: &mut SetAssocCache,
-    l2: &mut SetAssocCache,
-    latencies: &crate::config::LatencyConfig,
-    addr: Address,
+pub(crate) fn store_one_lane(
+    dl1: &mut SetAssocCacheLanes,
+    l2: &mut SetAssocCacheLanes,
+    latencies: &LatencyConfig,
     dl1_line: LineAddr,
+    l2_line: LineAddr,
     counters: &mut RunCounters,
 ) -> u64 {
-    let flags = dl1.access_lean_line(dl1_line, AccessKind::Store);
+    let flags = dl1.access_lean_lane(0, dl1_line, AccessKind::Store);
     counters.dl1.record(flags, true);
-    let l2_flags = l2.access_lean(addr, AccessKind::Store);
+    let l2_flags = l2.access_lean_lane(0, l2_line, AccessKind::Store);
     counters.l2.record(l2_flags, true);
     counters.memory_accesses += l2_flags.is_miss() as u64;
     latencies.store as u64
 }
 
-/// The wavefront counterpart of [`read_lean`]: one decoded read is pushed
-/// through all active placement lanes of the fronting L1 in one
+/// The wavefront counterpart of [`read_one_lane`]: one decoded read is
+/// pushed through all active placement lanes of the fronting L1 in one
 /// [`SetAssocCacheLanes::access_lean_lanes`] sweep, then the lanes that
 /// missed fill from the L2 — as a second full wave when every lane missed
 /// (the common cold-stream case), or lane by lane through the sparse
 /// [`SetAssocCacheLanes::access_lean_lane`] path otherwise.  Per-lane
 /// booking (level counters, memory accesses, latency) is bit-identical to
-/// running [`read_lean`] once per lane, and the `repeats` collapsed
-/// same-line re-reads are folded in here so both engines book them in one
-/// place.
+/// running [`read_one_lane`] on a one-lane bank per lane, and the
+/// `repeats` collapsed same-line re-reads are folded in here so every
+/// width books them in one place.
 ///
 /// `flags`, `cycles` and `counters` are the caller's per-lane slices, all
 /// of the same length (the active lane count of both cache banks).
@@ -265,11 +268,10 @@ pub(crate) fn read_lean_wave(
     }
 }
 
-/// The wavefront counterpart of [`store_lean`]: the write-through DL1 and
-/// the L2 are each updated in one full-lane sweep (the scalar path
-/// forwards *every* store to the L2, so the L2 wave needs no miss
-/// filtering), with per-lane booking bit-identical to running
-/// [`store_lean`] once per lane.
+/// The wavefront counterpart of [`store_one_lane`]: the write-through DL1
+/// and the L2 are each updated in one full-lane sweep (every store goes on
+/// to the L2, so the L2 wave needs no miss filtering), with per-lane
+/// booking bit-identical to running [`store_one_lane`] once per lane.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn store_lean_wave(

@@ -23,7 +23,7 @@
 //!   [`Op`] schedule, and replays that schedule for every lane group
 //!   instead of decoding the trace again.
 //!
-//! Contended campaigns do not use this module: the scalar
+//! Contended campaigns do not use this module:
 //! [`crate::contention::ContentionCore`] steps one placement seed per
 //! event, with no collapsing.
 

@@ -6,7 +6,7 @@
 //! * **idle co-schedule** → the victim routes through the solo
 //!   [`crate::batch::BatchCore`] pool (bit-identical to
 //!   [`Campaign::run_seeds`], at its throughput);
-//! * **everything else** → the scalar [`ContentionCore`], once per seed,
+//! * **everything else** → [`ContentionCore`], once per seed,
 //!   under either arbitration policy and whatever the lane count.
 //!
 //! Both produce bit-identical [`ContendedResult`]s where their domains
@@ -159,8 +159,8 @@ impl Campaign {
     /// *bit-identical* to the single-task protocol (and enjoys its
     /// throughput).
     ///
-    /// Every other co-schedule runs the scalar [`ContentionCore`] once per
-    /// seed, under either arbitration policy; the campaign's lane count
+    /// Every other co-schedule runs [`ContentionCore`] once per seed,
+    /// under either arbitration policy; the campaign's lane count
     /// does not change the engine or the result.
     ///
     /// # Errors

@@ -139,8 +139,8 @@ impl Campaign {
     /// applies to the solo protocols only: with `with_lanes(1)` solo runs
     /// use the lane engine at width 1 (one seed per decode pass, the
     /// baseline of the `campaign_throughput` benchmark), while contended
-    /// campaigns always run the scalar per-seed
-    /// [`crate::contention::ContentionCore`], whatever the lane count.
+    /// campaigns always run [`crate::contention::ContentionCore`] once per
+    /// seed, whatever the lane count.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
@@ -455,8 +455,8 @@ mod tests {
 
     #[test]
     fn contended_campaigns_run_contention_core_per_seed() {
-        // Every non-idle co-schedule runs the scalar per-seed
-        // ContentionCore, whatever the lane count and arbitration, and
+        // Every non-idle co-schedule runs ContentionCore once per seed,
+        // whatever the lane count and arbitration, and
         // reproduces it bit for bit.
         use crate::contention::{Arbitration, ContentionCore};
         let sources = [stress_trace(), opponent_trace()];

@@ -97,9 +97,9 @@ fn run_count_not_divisible_by_threads_times_lanes_matches_sequential() {
 
 #[test]
 fn reseed_between_runs_disarms_the_mru_read_filter() {
-    // The MRU read filter is armed only under Random replacement, where a
-    // repeat read hit mutates no state.  Reseeding between runs flushes
-    // every cache; a stale `mru_line` surviving the flush would turn the
+    // The residency filter is armed only under Random replacement, where
+    // a repeat read hit mutates no state.  Reseeding between runs flushes
+    // every cache; a stale filter entry surviving the flush would turn the
     // first read of the new run into a phantom hit — a silent wrong
     // result.  Replaying the same batch twice (execute_batch reseeds every
     // lane) and checking each run against a freshly constructed sequential
@@ -109,7 +109,7 @@ fn reseed_between_runs_disarms_the_mru_read_filter() {
         .with_replacement(ReplacementKind::Random);
     let trace = stress_trace();
     let mut batch = BatchCore::new(&config, 4).unwrap();
-    // First batch leaves every lane's MRU filter armed on some line.
+    // First batch leaves every lane's filter bit armed on some line.
     let first = batch.execute_batch(&trace, &[11, 22, 33, 44]);
     // Second batch with different seeds reuses the same (warm, armed)
     // lanes; results must match isolated sequential runs exactly.
@@ -120,7 +120,7 @@ fn reseed_between_runs_disarms_the_mru_read_filter() {
         assert_eq!(
             core.execute_isolated(&trace, seed),
             (cycles, stats),
-            "stale MRU state leaked across the reseed for seed {seed}"
+            "stale filter state leaked across the reseed for seed {seed}"
         );
     }
     // And re-running the first seeds reproduces the first results.

@@ -14,7 +14,7 @@
 //! A third property pins the execution-geometry invariance of contended
 //! campaigns: one `ContendedResult`, reproduced bit-for-bit across every
 //! lanes × threads grid point, under both round-robin and seeded-random
-//! arbitration.  Every point runs the scalar `ContentionCore` per seed:
+//! arbitration.  Every point runs `ContentionCore` once per seed:
 //! the lane knob is inert on contended campaigns, and the grid pins that.
 
 mod common;

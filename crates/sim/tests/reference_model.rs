@@ -3,11 +3,12 @@
 //! the optimised engines.
 //!
 //! `RefCache`/`RefHierarchy` share **no code** with the production model's
-//! hot paths: per-set `Vec`s of line slots instead of flat SoA arrays, a
-//! textbook move-to-front LRU list instead of packed rank vectors, boxed
-//! `dyn PlacementPolicy` dispatch instead of the static enum (which also
-//! bypasses RM's per-segment permutation memo), no MRU read filter, no
-//! run collapsing, no lean counter blocks.  What they *do* share is the
+//! hot paths: per-set `Vec`s of line slots instead of lane-major SoA
+//! arrays, a textbook move-to-front LRU list instead of packed rank
+//! vectors, boxed `dyn PlacementPolicy` dispatch on the pure mapping
+//! instead of the lane placement banks (which also bypasses the hRP and
+//! RM memos), one generator per cache instead of a PRNG bank, no
+//! residency filter, no run collapsing, no lean counter blocks.  What they *do* share is the
 //! specification: the same placement mathematics, the same
 //! seed→layout derivation, the same replacement and write-policy
 //! semantics, the same latency charging.
@@ -92,8 +93,8 @@ impl RefCache {
         }
     }
 
-    /// Mirrors `SetAssocCache::reseed`: new placement layout, fresh
-    /// replacement RNG (same salt), full flush.
+    /// Mirrors `SetAssocCacheLanes::reseed_wave` for one lane: new
+    /// placement layout, fresh replacement RNG (same salt), full flush.
     fn reseed(&mut self, seed: u64) {
         self.placement.reseed(seed);
         self.rng = CombinedLfsr::new(seed ^ 0x5EED_5EED_5EED_5EED);
@@ -618,7 +619,7 @@ proptest! {
         let tasks = traces.len();
 
         let mut reference = RefContentionCore::new(config, tasks, arbitration);
-        let mut scalar = ContentionCore::new(&config, tasks, arbitration).unwrap();
+        let mut core = ContentionCore::new(&config, tasks, arbitration).unwrap();
         let campaign_result = Campaign::new(config, 0)
             .with_threads(2)
             .with_lanes(3)
@@ -628,9 +629,9 @@ proptest! {
         prop_assert_eq!(campaign_result.len(), seeds.len());
         for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
             let expected = reference.execute_contended(&traces, seed);
-            let scalar_run = scalar
+            let core_run = core
                 .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
-            prop_assert_eq!(&scalar_run, &expected);
+            prop_assert_eq!(&core_run, &expected);
             prop_assert_eq!(run.seed, seed);
             prop_assert_eq!(run.tasks.len(), tasks);
             for (task_run, &(cycles, stats)) in run.tasks.iter().zip(&expected) {
@@ -667,7 +668,7 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
         for arbitration in Arbitration::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
             let mut reference = RefContentionCore::new(config, traces.len(), arbitration);
-            let mut scalar = ContentionCore::new(&config, traces.len(), arbitration).unwrap();
+            let mut core = ContentionCore::new(&config, traces.len(), arbitration).unwrap();
             let campaign_result = Campaign::new(config, 0)
                 .with_threads(2)
                 .with_lanes(seeds.len())
@@ -676,11 +677,11 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
                 .unwrap();
             for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
                 let expected = reference.execute_contended(&traces, seed);
-                let scalar_run = scalar
+                let core_run = core
                     .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
                 assert_eq!(
-                    scalar_run, expected,
-                    "scalar diverged from the reference: {placement}/{arbitration} seed {seed}"
+                    core_run, expected,
+                    "ContentionCore diverged from the reference: {placement}/{arbitration} seed {seed}"
                 );
                 let campaign_run: Vec<(u64, HierarchyStats)> =
                     run.tasks.iter().map(|t| (t.cycles, t.stats)).collect();
@@ -700,7 +701,7 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
 fn reference_model_agrees_on_a_capacity_stressing_trace() {
     let mut trace = Trace::new();
     for repeat in 0..2u64 {
-        for i in 0..900u64 {
+        for i in 0..1200u64 {
             trace.fetch(Address::new(0x1000 + (i % 40) * 4));
             trace.load(Address::new(0x10_0000 + i * 36 + repeat));
             if i % 5 == 0 {
@@ -711,6 +712,20 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
             }
         }
     }
+    // The banks' residency filters hold 1,024 slots on the LEON3 L1s and
+    // L2 (two per L1 line, and the cap).  The loads alone span more
+    // distinct lines than that, so filter slots collide in the DL1 and
+    // the L2.
+    let mut load_lines: Vec<u64> = trace
+        .iter()
+        .filter_map(|event| match *event {
+            MemEvent::Load(addr) => Some(addr.raw() >> 5),
+            _ => None,
+        })
+        .collect();
+    load_lines.sort_unstable();
+    load_lines.dedup();
+    assert!(load_lines.len() > 1024);
     let seeds = [0u64, 7, 0xDEAD_BEEF, u64::MAX];
     for placement in PlacementKind::ALL {
         for replacement in [ReplacementKind::Lru, ReplacementKind::Random] {

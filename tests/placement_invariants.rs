@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use randmod::core::benes::BenesNetwork;
-use randmod::core::cache::{AccessKind, SetAssocCache, WritePolicy};
+use randmod::core::cache::{AccessKind, SetAssocCacheLanes, WritePolicy};
 use randmod::core::layout::intra_segment_conflicts;
 use randmod::core::{Address, CacheGeometry, LineAddr, PlacementKind, ReplacementKind};
 
@@ -112,7 +112,7 @@ proptest! {
     }
 
     /// A cache access for a line that was just filled always hits, for every
-    /// placement/replacement combination.
+    /// placement/replacement combination, on a one-lane bank (one cache).
     #[test]
     fn fill_then_access_hits(
         geometry in geometry_strategy(),
@@ -121,17 +121,18 @@ proptest! {
     ) {
         for placement in PlacementKind::ALL {
             for replacement in ReplacementKind::ALL {
-                let mut cache = SetAssocCache::with_kinds(
+                let mut cache = SetAssocCacheLanes::with_kinds(
                     geometry,
                     placement,
                     replacement,
                     WritePolicy::WriteThrough,
+                    1,
                 ).unwrap();
-                cache.reseed(seed);
-                let addr = Address::new(raw);
-                cache.access(addr, AccessKind::Load);
-                prop_assert!(cache.contains(addr));
-                prop_assert!(cache.access(addr, AccessKind::Load).is_hit());
+                cache.reseed_wave(&[seed]);
+                let line = geometry.line_addr(Address::new(raw));
+                let fill = cache.access_lean_lane(0, line, AccessKind::Load);
+                prop_assert!(fill.is_miss() && fill.filled() && !fill.evicted());
+                prop_assert!(cache.access_lean_lane(0, line, AccessKind::Load).is_hit());
             }
         }
     }
