@@ -179,7 +179,6 @@ impl AccessFlags {
 /// never be a real line.
 const INVALID_TAG: u64 = u64::MAX;
 
-
 #[inline]
 fn bit_get(words: &[u64], index: usize) -> bool {
     (words[index >> 6] >> (index & 63)) & 1 == 1
@@ -199,22 +198,13 @@ fn bit_clear(words: &mut [u64], index: usize) {
 /// ("no hit way found yet" / "no invalid way found yet").
 const NO_WAY: u32 = u32::MAX;
 
-/// Most slots a residency filter gets (direct-mapped on the low line
-/// address bits; a power of two).  The cap covers a hot loop's
+/// Slot count of each bank's residency filter (direct-mapped on the low
+/// line address bits; a power of two).  It covers a hot loop's
 /// instruction lines plus its resident data working set (the cacheb
-/// kernel revisits ~800 distinct lines).
-const MAX_FILTER_SLOTS: usize = 1024;
-
-/// Residency-filter slot count of a bank over `geometry`: two slots per
-/// line one lane holds, rounded up to a power of two and capped at
-/// [`MAX_FILTER_SLOTS`].  A lane never holds more lines than it has
-/// cells, but the table is direct-mapped, so at one slot per line hot
-/// lines collide: a LEON3 L1 bank at 512 slots ran the solo campaigns
-/// 6% slower than at 1,024 (EXPERIMENTS.md, "One cache implementation").
-fn filter_slots(geometry: CacheGeometry) -> usize {
-    let lines = geometry.sets() as usize * geometry.ways() as usize;
-    (2 * lines).next_power_of_two().min(MAX_FILTER_SLOTS)
-}
+/// kernel revisits ~800 distinct lines); at 512 slots the LEON3 L1 banks
+/// ran the solo campaigns 6% slower (EXPERIMENTS.md, "One cache
+/// implementation").
+const FILTER_SLOTS: usize = 1024;
 
 /// All-ones bitmask over the low `n` lane bits (`n <= 64`).
 fn mask_of(n: usize) -> u64 {
@@ -258,11 +248,11 @@ fn mask_of(n: usize) -> u64 {
 /// equivalence suites pin every engine against it.
 ///
 /// A *residency filter* short-circuits repeat reads: a small
-/// direct-mapped table of recently read lines (two slots per line a lane
-/// holds, at most 1,024) with a per-slot bitmask of the
-/// lanes that hold the line.  Every lane replays the same line stream, so
-/// one table serves the whole wave: a repeat read whose line is still
-/// resident in *every* lane short-circuits placement and probe entirely,
+/// direct-mapped table of recently read lines (1,024 slots) with a
+/// per-slot bitmask of the lanes that hold the line.  Every lane replays
+/// the same line stream, so one table serves the whole wave: a repeat
+/// read whose line is still resident in *every* lane short-circuits
+/// placement and probe entirely,
 /// which is what makes hot-loop instruction fetch and in-cache data reuse
 /// nearly free per lane.  It is armed only under Random replacement, where
 /// a read hit mutates no state, so taking or missing the fast path changes
@@ -330,12 +320,10 @@ pub struct SetAssocCacheLanes {
     draw_lanes: Vec<u32>,
     /// The batched draws for `draw_lanes`.
     draws: Vec<u32>,
-    /// Residency filter: line address per slot ([`filter_slots`]
+    /// Residency filter: line address per slot ([`FILTER_SLOTS`]
     /// direct-mapped entries, [`INVALID_TAG`] = empty).  Armed only under
     /// Random replacement, where a read hit mutates no per-lane state.
     filter_tags: Vec<u64>,
-    /// Slot mask of the filter (slot count minus one).
-    filter_mask: usize,
     /// Per-slot bitmask of lanes in which the slot's line is resident (bit
     /// `lane` set).  Authoritative: set when a wave or sparse access
     /// leaves the line resident, cleared when a fill evicts it, so the
@@ -378,11 +366,10 @@ impl SetAssocCacheLanes {
         let ways = geometry.ways() as usize;
         let cells = geometry.sets() as usize * ways * lanes;
         let uniform = placement.is_uniform();
-        let slots = filter_slots(geometry);
         // Only the multi-lane write-back repeat-store path reads the
         // per-lane filter indices.
         let index_cells = if write_policy == WritePolicy::WriteBack && lanes > 1 {
-            slots * lanes
+            FILTER_SLOTS * lanes
         } else {
             0
         };
@@ -407,9 +394,8 @@ impl SetAssocCacheLanes {
             inv_way: vec![NO_WAY; lanes],
             draw_lanes: Vec::with_capacity(lanes),
             draws: vec![0; lanes],
-            filter_tags: vec![INVALID_TAG; slots],
-            filter_mask: slots - 1,
-            filter_valid: vec![0; slots],
+            filter_tags: vec![INVALID_TAG; FILTER_SLOTS],
+            filter_valid: vec![0; FILTER_SLOTS],
             filter_index: vec![0; index_cells],
             filter_enabled: replacement == ReplacementKind::Random
                 && lanes <= 64
@@ -509,7 +495,7 @@ impl SetAssocCacheLanes {
         // needed.  Every lane replays the same line stream, so one table
         // serves the whole wave.
         let wb = self.write_policy == WritePolicy::WriteBack;
-        let slot = (raw as usize) & self.filter_mask;
+        let slot = (raw as usize) & (FILTER_SLOTS - 1);
         if self.filter_tags[slot] == raw
             && self.filter_valid[slot] & self.active_mask == self.active_mask
         {
@@ -703,7 +689,7 @@ impl SetAssocCacheLanes {
                     }
                     // Keep the valid bits authoritative: the victim is no
                     // longer resident in this lane.
-                    let old_slot = (old_tag as usize) & self.filter_mask;
+                    let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
                     if self.filter_tags[old_slot] == old_tag {
                         self.filter_valid[old_slot] &= !(1u64 << lane);
                     }
@@ -779,7 +765,7 @@ impl SetAssocCacheLanes {
                     if arm {
                         // Keep the valid bits authoritative: the victim is
                         // no longer resident in this lane.
-                        let old_slot = (old_tag as usize) & self.filter_mask;
+                        let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
                         if self.filter_tags[old_slot] == old_tag {
                             self.filter_valid[old_slot] &= !(1u64 << lane);
                         }
@@ -833,7 +819,7 @@ impl SetAssocCacheLanes {
         // touching the other lanes' entries.  Reads only, Random
         // replacement only — the same no-mutation argument as the wave
         // fast path.
-        let slot = (raw as usize) & self.filter_mask;
+        let slot = (raw as usize) & (FILTER_SLOTS - 1);
         let lane_bit = 1u64 << (lane & 63);
         if !is_write && self.filter_tags[slot] == raw && self.filter_valid[slot] & lane_bit != 0 {
             return AccessFlags(AccessFlags::HIT);
@@ -889,7 +875,7 @@ impl SetAssocCacheLanes {
             if self.filter_enabled {
                 // Keep the valid bits authoritative: the victim is no
                 // longer resident in this lane.
-                let old_slot = (old_tag as usize) & self.filter_mask;
+                let old_slot = (old_tag as usize) & (FILTER_SLOTS - 1);
                 if self.filter_tags[old_slot] == old_tag {
                     self.filter_valid[old_slot] &= !lane_bit;
                 }
@@ -927,7 +913,6 @@ impl SetAssocCacheLanes {
         }
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -1073,7 +1058,7 @@ mod tests {
         assert!(access(&mut cache, addr, AccessKind::Load).is_miss());
         assert!(access(&mut cache, addr, AccessKind::Load).is_hit());
         let raw = cache.geometry().line_addr(Address::new(addr)).raw();
-        let slot = raw as usize & cache.filter_mask;
+        let slot = raw as usize & (FILTER_SLOTS - 1);
         assert_eq!(cache.filter_tags[slot], raw, "the read did not arm the filter");
         assert_eq!(cache.filter_valid[slot], 1);
         cache
@@ -1263,10 +1248,12 @@ mod tests {
 
     #[test]
     fn lane_bank_matches_scalar_caches_for_every_policy_mix() {
-        // A full four-lane bank and a four-lane bank with two active lanes,
-        // against one-lane banks, for every policy mix.
+        // A full four-lane bank, a four-lane bank with two active lanes and
+        // one with a single active lane (a campaign's tail group, probed
+        // through the one-lane short-circuit at stride 4), against one-lane
+        // banks, for every policy mix.
         let geometry = CacheGeometry::new(8, 4, 32).unwrap();
-        for (active, capacity) in [(4usize, 4usize), (2, 4)] {
+        for (active, capacity) in [(4usize, 4usize), (2, 4), (1, 4)] {
             for placement in PlacementKind::ALL {
                 for replacement in ReplacementKind::ALL {
                     for write_policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
@@ -1308,12 +1295,12 @@ mod tests {
 
     #[test]
     fn residency_filter_spans_the_bank_capacity() {
-        // Two slots per line a lane holds, rounded up to a power of two, at
-        // most MAX_FILTER_SLOTS.  Reading as many consecutive lines as
-        // there are slots tags every slot with its own line (a narrower
-        // mask leaves slots untagged, a wider one indexes past the table);
-        // after a flush, a modulo bank filled with as many consecutive
-        // lines as a lane holds keeps every one filtered, in every lane.
+        // Reading FILTER_SLOTS consecutive lines tags every slot with its
+        // own line (a narrower mask leaves slots untagged, a wider one
+        // indexes past the table); after a flush, a modulo bank filled
+        // with as many consecutive lines as a lane holds keeps every one
+        // filtered, in every lane.  Only multi-lane write-back banks, the
+        // one reader of the filter cell indices, allocate them.
         for (sets, ways, lanes) in [(8u32, 2u32, 1usize), (8, 3, 1), (64, 4, 1), (64, 2, 4)] {
             let geometry = CacheGeometry::new(sets, ways, 32).unwrap();
             let lines = (sets * ways) as u64;
@@ -1327,17 +1314,15 @@ mod tests {
                 )
                 .unwrap();
                 let seeds: Vec<u64> = (1..=lanes as u64).collect();
-                let slots = (2 * lines as usize).next_power_of_two();
-                assert_eq!(bank.filter_tags.len(), slots);
-                assert_eq!(bank.filter_valid.len(), slots);
                 let indexed = write_policy == WritePolicy::WriteBack && lanes > 1;
-                assert_eq!(bank.filter_index.len(), if indexed { slots * lanes } else { 0 });
+                let index_cells = if indexed { FILTER_SLOTS * lanes } else { 0 };
+                assert_eq!(bank.filter_index.len(), index_cells);
                 let mut flags = vec![AccessFlags::default(); lanes];
                 let mut read = |bank: &mut SetAssocCacheLanes, line: u64| {
                     bank.access_lean_lanes(LineAddr::new(line), AccessKind::Load, &mut flags);
                 };
                 bank.reseed_wave(&seeds);
-                for line in 0..slots as u64 {
+                for line in 0..FILTER_SLOTS as u64 {
                     read(&mut bank, line);
                 }
                 for (slot, &tag) in bank.filter_tags.iter().enumerate() {
@@ -1350,24 +1335,11 @@ mod tests {
                     }
                 }
                 for line in 0..lines {
-                    let slot = line as usize & bank.filter_mask;
+                    let slot = line as usize & (FILTER_SLOTS - 1);
                     assert_eq!(bank.filter_tags[slot], line, "{geometry} line {line}");
                     assert_eq!(bank.filter_valid[slot], mask_of(lanes), "{geometry} line {line}");
                 }
             }
-        }
-        // Larger banks stop at the cap.
-        for sets in [512u32, 1024] {
-            let bank = SetAssocCacheLanes::with_kinds(
-                CacheGeometry::new(sets, 4, 32).unwrap(),
-                PlacementKind::RandomModulo,
-                ReplacementKind::Random,
-                WritePolicy::WriteBack,
-                1,
-            )
-            .unwrap();
-            assert_eq!(bank.filter_tags.len(), MAX_FILTER_SLOTS);
-            assert_eq!(bank.filter_mask, MAX_FILTER_SLOTS - 1);
         }
     }
 

@@ -39,8 +39,9 @@
 //! and on that state size lanes did not pay for their machinery
 //! (EXPERIMENTS.md, "One contended engine").  Every cache it holds is a
 //! one-lane [`SetAssocCacheLanes`] bank, the model the solo engines step
-//! K lanes at a time, probed through the sparse per-lane path
-//! (EXPERIMENTS.md, "One cache implementation").
+//! K lanes at a time, stepped through the solo engine's access paths as
+//! one-lane waves, which take the sparse per-lane probe (EXPERIMENTS.md,
+//! "One cache implementation").
 //!
 //! **Solo-task equivalence.**  A contended run with one task and idle
 //! (empty-trace) opponents reproduces the single-task engine exactly:
@@ -52,11 +53,11 @@
 //! `InOrderCore` and `Campaign::run_seeds`.
 
 use crate::config::PlatformConfig;
-use crate::hierarchy::{read_one_lane, store_one_lane, HierarchyStats, RunCounters};
+use crate::hierarchy::{read_lean_wave, store_lean_wave, HierarchyStats, RunCounters};
 use crate::trace::MemEvent;
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
 use randmod_core::prng::SplitMix64;
-use randmod_core::{Address, ConfigError, LineAddr};
+use randmod_core::{AccessFlags, ConfigError, LineAddr};
 use std::fmt;
 use std::str::FromStr;
 
@@ -129,11 +130,10 @@ pub struct SharedL2Hierarchy {
     tasks: Vec<TaskL1>,
     /// The shared L2 partition, a one-lane bank.
     l2: SetAssocCacheLanes,
-    /// Offset bits of the IL1 / DL1 / L2 geometry, for the per-event line
+    /// Offset bits of the IL1 / DL1 geometry, for the per-event line
     /// reduction of the lean access paths.
     il1_shift: u32,
     dl1_shift: u32,
-    l2_shift: u32,
 }
 
 impl SharedL2Hierarchy {
@@ -162,7 +162,6 @@ impl SharedL2Hierarchy {
             l2: build(&config.l2)?,
             il1_shift: config.il1.geometry.offset_bits(),
             dl1_shift: config.dl1.geometry.offset_bits(),
-            l2_shift: config.l2.geometry.offset_bits(),
         })
     }
 
@@ -201,11 +200,12 @@ impl SharedL2Hierarchy {
     }
 
     /// Replays one event of `task` and returns its latency in cycles.
-    /// Accesses go through the task's private L1 and the shared L2 on the
-    /// one-lane [`crate::hierarchy`] paths, which book latency and
-    /// statistics exactly as the solo lane waves do.  Statistics go to the
-    /// caller's per-task counter block: its L2 half tracks the task's
-    /// *own* L2 traffic, not the shared aggregate.
+    /// Accesses go through the task's private L1 and the shared L2 as
+    /// one-lane waves of the [`crate::hierarchy`] paths the solo engine
+    /// steps, so latency and statistics are booked exactly as a solo lane
+    /// books them.  Statistics go to the caller's per-task counter block:
+    /// its L2 half tracks the task's *own* L2 traffic, not the shared
+    /// aggregate.
     ///
     /// # Panics
     ///
@@ -215,36 +215,48 @@ impl SharedL2Hierarchy {
         // randmod: allow(P1, the documented Panics contract: the only caller, ContentionCore::execute_contended, passes a task index below task_count())
         let l1 = &mut self.tasks[task];
         let latencies = &self.config.latencies;
-        let l2_line = |addr: Address| LineAddr::new(addr.raw() >> self.l2_shift);
+        let mut flags = AccessFlags::default();
+        let mut cycles = 0u64;
+        let flags = std::slice::from_mut(&mut flags);
+        let counters = std::slice::from_mut(counters);
         match event {
-            MemEvent::Compute(cycles) => cycles as u64,
-            MemEvent::InstrFetch(addr) => read_one_lane(
+            MemEvent::Compute(compute) => return compute as u64,
+            MemEvent::InstrFetch(addr) => read_lean_wave(
                 &mut l1.il1,
                 &mut self.l2,
                 latencies,
+                addr,
                 LineAddr::new(addr.raw() >> self.il1_shift),
-                l2_line(addr),
                 AccessKind::InstructionFetch,
+                0,
+                flags,
+                std::slice::from_mut(&mut cycles),
                 counters,
             ),
-            MemEvent::Load(addr) => read_one_lane(
+            MemEvent::Load(addr) => read_lean_wave(
                 &mut l1.dl1,
                 &mut self.l2,
                 latencies,
+                addr,
                 LineAddr::new(addr.raw() >> self.dl1_shift),
-                l2_line(addr),
                 AccessKind::Load,
+                0,
+                flags,
+                std::slice::from_mut(&mut cycles),
                 counters,
             ),
-            MemEvent::Store(addr) => store_one_lane(
+            MemEvent::Store(addr) => store_lean_wave(
                 &mut l1.dl1,
                 &mut self.l2,
                 latencies,
+                addr,
                 LineAddr::new(addr.raw() >> self.dl1_shift),
-                l2_line(addr),
+                flags,
+                std::slice::from_mut(&mut cycles),
                 counters,
             ),
         }
+        cycles
     }
 }
 
@@ -377,7 +389,7 @@ impl ContentionCore {
 mod tests {
     use super::*;
     use crate::trace::Trace;
-    use randmod_core::PlacementKind;
+    use randmod_core::{Address, PlacementKind};
 
     fn config() -> PlatformConfig {
         PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo)

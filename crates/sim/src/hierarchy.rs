@@ -12,11 +12,12 @@
 //!
 //! A seed change re-randomises every cache's placement and flushes all
 //! contents, as the real design does.  Every cache is a
-//! [`SetAssocCacheLanes`] bank.  The solo hierarchy is the lane-banked
-//! `LaneHierarchy` behind [`crate::batch::BatchCore`], stepped by the wave
-//! paths `read_lean_wave` and `store_lean_wave`; the contended
-//! [`crate::contention::SharedL2Hierarchy`] holds one-lane banks and steps
-//! them through `read_one_lane` and `store_one_lane`.
+//! [`SetAssocCacheLanes`] bank, and every access goes through one of two
+//! paths, `read_lean_wave` and `store_lean_wave`.  The solo hierarchy is
+//! the lane-banked `LaneHierarchy` behind [`crate::batch::BatchCore`],
+//! stepping K placement seeds per wave; the contended
+//! [`crate::contention::SharedL2Hierarchy`] holds one-lane banks and
+//! steps them as one-lane waves.
 
 use crate::config::{LatencyConfig, PlatformConfig};
 use randmod_core::cache::{AccessKind, SetAssocCacheLanes};
@@ -134,75 +135,17 @@ impl RunCounters {
     }
 }
 
-/// The lean L1→L2→memory read path of one-lane banks (a contended task's
-/// L1 in front of the shared L2): probes the L1, fills from the L2 on a
-/// miss, charges the level-appropriate latency, and books everything in
-/// the caller's counter block.  The books and latency match what
-/// [`read_lean_wave`] gives each lane.
-///
-/// `l1_line` and `l2_line` are the accessed address's line in each cache,
-/// precomputed by the caller.
-#[inline]
-pub(crate) fn read_one_lane(
-    l1: &mut SetAssocCacheLanes,
-    l2: &mut SetAssocCacheLanes,
-    latencies: &LatencyConfig,
-    l1_line: LineAddr,
-    l2_line: LineAddr,
-    kind: AccessKind,
-    counters: &mut RunCounters,
-) -> u64 {
-    let flags = l1.access_lean_lane(0, l1_line, kind);
-    let l1_counter = match kind {
-        AccessKind::InstructionFetch => &mut counters.il1,
-        _ => &mut counters.dl1,
-    };
-    l1_counter.record(flags, false);
-    if flags.is_hit() {
-        latencies.l1_hit as u64
-    } else {
-        let l2_flags = l2.access_lean_lane(0, l2_line, kind);
-        counters.l2.record(l2_flags, false);
-        if l2_flags.is_hit() {
-            (latencies.l1_hit + latencies.l2_hit) as u64
-        } else {
-            counters.memory_accesses += 1;
-            (latencies.l1_hit + latencies.l2_hit + latencies.memory) as u64
-        }
-    }
-}
-
-/// The lean store path of one-lane banks (see [`read_one_lane`]): the
-/// write-through DL1 is updated without allocation, the store is forwarded
-/// to the L2, and a missing L2 line is fetched from memory in the
-/// background.
-#[inline]
-pub(crate) fn store_one_lane(
-    dl1: &mut SetAssocCacheLanes,
-    l2: &mut SetAssocCacheLanes,
-    latencies: &LatencyConfig,
-    dl1_line: LineAddr,
-    l2_line: LineAddr,
-    counters: &mut RunCounters,
-) -> u64 {
-    let flags = dl1.access_lean_lane(0, dl1_line, AccessKind::Store);
-    counters.dl1.record(flags, true);
-    let l2_flags = l2.access_lean_lane(0, l2_line, AccessKind::Store);
-    counters.l2.record(l2_flags, true);
-    counters.memory_accesses += l2_flags.is_miss() as u64;
-    latencies.store as u64
-}
-
-/// The wavefront counterpart of [`read_one_lane`]: one decoded read is
-/// pushed through all active placement lanes of the fronting L1 in one
+/// The lean L1→L2→memory read path: one decoded read is pushed through
+/// all active placement lanes of the fronting L1 in one
 /// [`SetAssocCacheLanes::access_lean_lanes`] sweep, then the lanes that
 /// missed fill from the L2 — as a second full wave when every lane missed
 /// (the common cold-stream case), or lane by lane through the sparse
-/// [`SetAssocCacheLanes::access_lean_lane`] path otherwise.  Per-lane
-/// booking (level counters, memory accesses, latency) is bit-identical to
-/// running [`read_one_lane`] on a one-lane bank per lane, and the
-/// `repeats` collapsed same-line re-reads are folded in here so every
-/// width books them in one place.
+/// [`SetAssocCacheLanes::access_lean_lane`] path otherwise.  Each lane is
+/// charged the level-appropriate latency (added to its `cycles` slot)
+/// and booked in its counter block, and the `repeats` collapsed
+/// same-line re-reads are folded in here so every width books them in
+/// one place.  A one-lane wave (a contended task's L1 in front of the
+/// shared L2) takes the banks' sparse probe throughout.
 ///
 /// `flags`, `cycles` and `counters` are the caller's per-lane slices, all
 /// of the same length (the active lane count of both cache banks).
@@ -268,10 +211,11 @@ pub(crate) fn read_lean_wave(
     }
 }
 
-/// The wavefront counterpart of [`store_one_lane`]: the write-through DL1
-/// and the L2 are each updated in one full-lane sweep (every store goes on
-/// to the L2, so the L2 wave needs no miss filtering), with per-lane
-/// booking bit-identical to running [`store_one_lane`] once per lane.
+/// The lean store path: the write-through DL1 is updated without
+/// allocation and the store is forwarded to the L2, each in one
+/// full-lane sweep (every store goes on to the L2, so the L2 wave needs
+/// no miss filtering); a missing L2 line is fetched from memory in the
+/// background, so every lane is charged the store latency.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn store_lean_wave(

@@ -712,10 +712,9 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
             }
         }
     }
-    // The banks' residency filters hold 1,024 slots on the LEON3 L1s and
-    // L2 (two per L1 line, and the cap).  The loads alone span more
-    // distinct lines than that, so filter slots collide in the DL1 and
-    // the L2.
+    // Every bank's residency filter holds 1,024 slots.  The loads alone
+    // span more distinct lines than that, so filter slots collide in the
+    // DL1 and the L2.
     let mut load_lines: Vec<u64> = trace
         .iter()
         .filter_map(|event| match *event {
