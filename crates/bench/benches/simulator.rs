@@ -2,13 +2,13 @@
 //! throughput for each placement policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use randmod_bench::{bench_platform, bench_trace};
+use randmod_bench::{bench_packed_trace, bench_platform};
 use randmod_core::PlacementKind;
 use randmod_sim::InOrderCore;
 use std::hint::black_box;
 
 fn trace_replay(c: &mut Criterion) {
-    let trace = bench_trace();
+    let trace = bench_packed_trace();
     let mut group = c.benchmark_group("simulator/trace_replay");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(20);

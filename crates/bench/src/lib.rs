@@ -2,12 +2,15 @@
 //!
 //! Criterion benchmark harness of the Random Modulo reproduction.
 //!
-//! Two kinds of benches live here:
+//! Three kinds of benches live here:
 //!
 //! * **Microbenchmarks** (`placement`, `simulator`, `mbpta_pipeline`):
 //!   throughput of the placement functions, the cache-hierarchy simulator
 //!   and the statistical pipeline — useful when optimising the library
 //!   itself.
+//! * **Campaign benches** (`campaign_throughput`, `campaign_adaptive`,
+//!   `contention_throughput`): whole measurement campaigns, each asserting
+//!   an equivalence gate before it times anything.
 //! * **Table/figure benches** (`tables_and_figures`): each benchmark runs a
 //!   reduced-size version of one experiment of the paper (Table 1, Table 2,
 //!   Figure 1, Figure 4(a), Figure 4(b), Figure 5, Section 4.4) through the
@@ -22,7 +25,7 @@
 #![warn(missing_docs)]
 
 use randmod_core::PlacementKind;
-use randmod_sim::{PackedTrace, PlatformConfig, Trace};
+use randmod_sim::{PackedTrace, PlatformConfig};
 use randmod_workloads::{MemoryLayout, SyntheticKernel, Workload};
 
 /// Number of runs per campaign used by the table/figure benches (kept small
@@ -36,11 +39,6 @@ const _: () = assert!(BENCH_RUNS >= randmod_mbpta::iid::ET_MIN_OBSERVATIONS);
 /// benches (fewer traversals to keep iteration times reasonable).
 pub fn bench_kernel() -> SyntheticKernel {
     SyntheticKernel::with_traversals(20 * 1024, 5)
-}
-
-/// The boxed trace of [`bench_kernel`] under the default memory layout.
-pub fn bench_trace() -> Trace {
-    bench_kernel().trace(&MemoryLayout::default())
 }
 
 /// The packed trace of [`bench_kernel`] under the default memory layout.
@@ -63,8 +61,7 @@ mod tests {
     #[test]
     fn bench_helpers_produce_consistent_objects() {
         assert_eq!(bench_kernel().footprint_bytes(), 20 * 1024);
-        assert!(!bench_trace().is_empty());
-        assert_eq!(bench_packed_trace().to_trace(), bench_trace());
+        assert!(!bench_packed_trace().is_empty());
         assert_eq!(
             bench_platform(PlacementKind::RandomModulo).il1.placement,
             PlacementKind::RandomModulo

@@ -74,8 +74,6 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Store accesses.
     pub stores: u64,
-    /// Whole-cache flushes (seed changes).
-    pub flushes: u64,
 }
 
 impl CacheStats {
@@ -94,7 +92,6 @@ impl CacheStats {
             evictions: self.evictions + other.evictions,
             writebacks: self.writebacks + other.writebacks,
             stores: self.stores + other.stores,
-            flushes: self.flushes + other.flushes,
         }
     }
 

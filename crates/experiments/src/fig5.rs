@@ -154,7 +154,7 @@ pub const LARGE_QUICK_TRAVERSALS: u32 = 3;
 /// Runs the extended large-footprint sweep (1MB, 4MB) beyond the paper's
 /// operating point — the scenario the packed streaming pipeline makes
 /// practical: at 8 bytes/event a 4MB-footprint trace replays from a
-/// ~50MB packed buffer instead of a ~100MB boxed one, and is never
+/// ~50MB packed buffer instead of a ~100MB `Vec<MemEvent>`, and is never
 /// duplicated across the campaign's worker threads.
 ///
 /// Under `--quick` the kernels traverse [`LARGE_QUICK_TRAVERSALS`] times

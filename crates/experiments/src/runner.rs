@@ -4,7 +4,7 @@
 //! ([`randmod_sim::PackedTrace`]): workloads emit straight into the packed
 //! form and the layout sweeps of Figure 4(b) stream one layout's trace at
 //! a time, so no experiment ever materialises a boxed `Vec<MemEvent>` or a
-//! whole `Vec<Trace>` family.
+//! whole family of layout traces.
 
 use crate::cli::ExperimentOptions;
 use crate::error::ExperimentError;
@@ -74,7 +74,7 @@ pub fn measure(
 }
 
 /// Runs an MBPTA measurement campaign for an already-generated event
-/// source (packed or boxed) on an explicit platform.
+/// source (a packed trace or an event slice) on an explicit platform.
 ///
 /// # Errors
 ///
@@ -656,17 +656,17 @@ mod tests {
 
     #[test]
     fn streamed_sweep_matches_the_collected_protocol() {
-        use randmod_sim::Trace;
+        use randmod_sim::PackedTrace;
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 2);
         let streamed = measure_deterministic_sweep(&kernel, 5, Some(2)).unwrap();
-        // The pre-streaming protocol: collect every layout's boxed trace,
-        // then sweep.
-        let traces: Vec<Trace> = LayoutSweep::new(5)
+        // The pre-streaming protocol: collect every layout's trace, then
+        // sweep.
+        let traces: Vec<PackedTrace> = LayoutSweep::new(5)
             .iter()
-            .map(|layout| kernel.trace(&layout))
+            .map(|layout| kernel.packed_trace(&layout))
             .collect();
         let collected = Campaign::new(PlatformConfig::leon3_deterministic(), 0)
-            .run_layout_sweep(&traces)
+            .run_layout_sweep_with(traces.len(), |i| &traces[i])
             .unwrap();
         assert_eq!(
             streamed,

@@ -16,7 +16,7 @@
 use randmod_core::{Address, PlacementKind};
 use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
 use randmod_sim::config::PlatformConfig;
-use randmod_sim::trace::{MemEvent, Trace};
+use randmod_sim::trace::EventSink;
 use randmod_sim::PackedTrace;
 use std::time::Instant;
 
@@ -41,19 +41,19 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 /// loop body plus a strided data working set that overflows a few L1
 /// sets, so placement randomisation has something to randomise.
 fn synthetic_trace() -> PackedTrace {
-    let mut trace = Trace::new();
+    let mut trace = PackedTrace::new();
     for rep in 0..8u64 {
         for i in 0..200u64 {
-            trace.push(MemEvent::InstrFetch(Address::new(0x4000 + (i % 64) * 4)));
+            trace.fetch(Address::new(0x4000 + (i % 64) * 4));
             if i % 3 == 0 {
-                trace.push(MemEvent::Load(Address::new(0x2_0000 + ((i * 7 + rep) % 96) * 256)));
+                trace.load(Address::new(0x2_0000 + ((i * 7 + rep) % 96) * 256));
             }
             if i % 11 == 0 {
-                trace.push(MemEvent::Store(Address::new(0x8_0000 + (i % 16) * 32)));
+                trace.store(Address::new(0x8_0000 + (i % 16) * 32));
             }
         }
     }
-    PackedTrace::from(&trace)
+    trace
 }
 
 fn main() {

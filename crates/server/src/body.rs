@@ -432,15 +432,15 @@ pub fn decode_adaptive_record(payload: &[u8]) -> Option<AdaptiveRecord> {
 mod tests {
     use super::*;
     use randmod_core::Address;
-    use randmod_sim::trace::{MemEvent, Trace};
+    use randmod_sim::trace::MemEvent;
 
     fn sample_trace() -> PackedTrace {
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         for i in 0..40u64 {
             trace.push(MemEvent::InstrFetch(Address::new(0x1000 + i * 32)));
             trace.push(MemEvent::Load(Address::new(0x8000 + i * 64)));
         }
-        PackedTrace::from(&trace)
+        trace
     }
 
     fn sample_spec(mode: SpecMode) -> CampaignSpec {

@@ -427,7 +427,7 @@ mod tests {
     use crate::body::encode_spec;
     use randmod_core::{Address, PlacementKind};
     use randmod_sim::config::PlatformConfig;
-    use randmod_sim::trace::{MemEvent, Trace};
+    use randmod_sim::trace::MemEvent;
     use randmod_sim::PackedTrace;
 
     fn post(body: Vec<u8>) -> Request {
@@ -441,7 +441,7 @@ mod tests {
     }
 
     fn sample_spec(mode: SpecMode) -> CampaignSpec {
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         for i in 0..64u64 {
             trace.push(MemEvent::InstrFetch(Address::new(0x1000 + i * 32)));
             trace.push(MemEvent::Load(Address::new(0x9000 + (i % 8) * 64)));
@@ -450,7 +450,7 @@ mod tests {
             config: PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo),
             campaign_seed: 42,
             mode,
-            trace: PackedTrace::from(&trace),
+            trace,
         }
     }
 

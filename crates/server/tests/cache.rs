@@ -14,7 +14,7 @@ use randmod_core::{Address, PlacementKind, ReplacementKind};
 use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
 use randmod_sim::checkpoint::{FaultPlan, FaultyStore, FileCheckpointStore};
 use randmod_sim::config::PlatformConfig;
-use randmod_sim::trace::{MemEvent, Trace};
+use randmod_sim::trace::MemEvent;
 use randmod_sim::{encode_solo_runs, Campaign, PackedTrace};
 use std::path::PathBuf;
 
@@ -25,7 +25,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn kernel_trace(stride: u64, loads: u64) -> PackedTrace {
-    let mut trace = Trace::new();
+    let mut trace = PackedTrace::new();
     for rep in 0..6u64 {
         for i in 0..120u64 {
             trace.push(MemEvent::InstrFetch(Address::new(0x4000 + (i % 48) * 4)));
@@ -39,7 +39,7 @@ fn kernel_trace(stride: u64, loads: u64) -> PackedTrace {
             }
         }
     }
-    PackedTrace::from(&trace)
+    trace
 }
 
 fn spec(config: PlatformConfig, seeds: Vec<u64>, trace: PackedTrace) -> CampaignSpec {

@@ -13,7 +13,7 @@ use randmod_core::{Address, PlacementKind};
 use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
 use randmod_sim::checkpoint::decode_checkpoint;
 use randmod_sim::config::PlatformConfig;
-use randmod_sim::trace::{MemEvent, Trace};
+use randmod_sim::trace::MemEvent;
 use randmod_sim::{encode_solo_runs, Campaign, PackedTrace};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -25,7 +25,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn trace_of(events: u64, salt: u64) -> PackedTrace {
-    let mut trace = Trace::new();
+    let mut trace = PackedTrace::new();
     for i in 0..events {
         trace.push(MemEvent::InstrFetch(Address::new(0x4000 + (i % 64) * 4)));
         if i % 2 == 0 {
@@ -34,7 +34,7 @@ fn trace_of(events: u64, salt: u64) -> PackedTrace {
             )));
         }
     }
-    PackedTrace::from(&trace)
+    trace
 }
 
 fn fixed_spec(salt: u64, runs: u64, events: u64) -> CampaignSpec {

@@ -6,7 +6,7 @@ use randmod_core::{Address, PlacementKind};
 use randmod_mbpta::online::ConvergenceCriterion;
 use randmod_server::{encode_spec, start, CampaignSpec, Client, ResultStore, ServerConfig, SpecMode};
 use randmod_sim::config::PlatformConfig;
-use randmod_sim::trace::{MemEvent, Trace};
+use randmod_sim::trace::MemEvent;
 use randmod_sim::{Campaign, PackedTrace};
 use std::path::PathBuf;
 
@@ -17,7 +17,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn kernel() -> PackedTrace {
-    let mut trace = Trace::new();
+    let mut trace = PackedTrace::new();
     for rep in 0..4u64 {
         for i in 0..150u64 {
             trace.push(MemEvent::InstrFetch(Address::new(0x4000 + (i % 56) * 4)));
@@ -28,7 +28,7 @@ fn kernel() -> PackedTrace {
             }
         }
     }
-    PackedTrace::from(&trace)
+    trace
 }
 
 fn quick_criterion() -> ConvergenceCriterion {

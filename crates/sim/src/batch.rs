@@ -38,12 +38,13 @@ use randmod_core::{Address, ConfigError, LineAddr};
 /// trace decode.
 ///
 /// ```
-/// use randmod_sim::{BatchCore, InOrderCore, PlatformConfig, Trace};
+/// use randmod_sim::trace::EventSink;
+/// use randmod_sim::{BatchCore, InOrderCore, PackedTrace, PlatformConfig};
 /// use randmod_core::{Address, PlacementKind};
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
 /// let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
-/// let mut trace = Trace::new();
+/// let mut trace = PackedTrace::new();
 /// for i in 0..256u64 {
 ///     trace.load(Address::new(0x1000 + i * 32));
 /// }
@@ -221,11 +222,11 @@ mod tests {
     use super::*;
     use crate::cpu::InOrderCore;
     use crate::packed::PackedTrace;
-    use crate::trace::{EventSource, Trace};
+    use crate::trace::{EventSink, EventSource};
     use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
 
-    fn stress_trace() -> Trace {
-        let mut trace = Trace::new();
+    fn stress_trace() -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for repeat in 0..3u64 {
             for i in 0..800u64 {
                 trace.fetch(Address::new(0x1000 + (i % 24) * 32));
@@ -271,7 +272,7 @@ mod tests {
         // accesses and both replacement behaviours of the L1.  The
         // collapse itself is checked against the uncollapsed reference
         // model in `tests/reference_model.rs`.
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         for block in 0..400u64 {
             let code = 0x1000 + (block % 29) * 4;
             for i in 0..12u64 {
@@ -332,11 +333,11 @@ mod tests {
     #[test]
     fn packed_and_boxed_sources_are_interchangeable() {
         let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::HashRandom);
-        let trace = stress_trace();
-        let packed = PackedTrace::from(&trace);
+        let packed = stress_trace();
+        let boxed: Vec<MemEvent> = packed.iter().collect();
         let seeds = [5u64, 6];
         let mut batch = BatchCore::new(&config, 2).unwrap();
-        let from_boxed = batch.execute_batch(EventSource::events(&trace), &seeds);
+        let from_boxed = batch.execute_batch(EventSource::events(&boxed[..]), &seeds);
         let from_packed = batch.execute_batch(EventSource::events(&packed), &seeds);
         assert_eq!(from_boxed, from_packed);
     }
@@ -368,14 +369,14 @@ mod tests {
     fn empty_seed_list_is_a_no_op() {
         let config = PlatformConfig::leon3();
         let mut batch = BatchCore::new(&config, 2).unwrap();
-        assert!(batch.execute_batch(stress_trace(), &[]).is_empty());
+        assert!(batch.execute_batch(&stress_trace(), &[]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "exceed the")]
     fn too_many_seeds_panic() {
         let mut batch = BatchCore::new(&PlatformConfig::leon3(), 2).unwrap();
-        batch.execute_batch(Trace::new(), &[1, 2, 3]);
+        batch.execute_batch(&PackedTrace::new(), &[1, 2, 3]);
     }
 
     #[test]

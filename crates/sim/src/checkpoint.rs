@@ -183,7 +183,7 @@ impl std::error::Error for CheckpointError {
 /// Magic + version prefix of a checkpoint file.  Bump the trailing digit on
 /// any layout change: the loader rejects unknown versions outright instead
 /// of misreading them.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RMCKPT01";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RMCKPT02";
 
 /// Byte length of the fixed checkpoint header.
 const HEADER_LEN: usize = 8 + 8 * 5;

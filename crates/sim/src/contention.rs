@@ -266,18 +266,19 @@ impl SharedL2Hierarchy {
 ///
 /// ```
 /// use randmod_sim::contention::{Arbitration, ContentionCore};
-/// use randmod_sim::{PlatformConfig, Trace};
+/// use randmod_sim::trace::EventSink;
+/// use randmod_sim::{PackedTrace, PlatformConfig};
 /// use randmod_core::Address;
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut victim = Trace::new();
-/// let mut opponent = Trace::new();
+/// let mut victim = PackedTrace::new();
+/// let mut opponent = PackedTrace::new();
 /// for i in 0..64u64 {
 ///     victim.load(Address::new(0x1000 + i * 32));
 ///     opponent.load(Address::new(0x8_0000 + i * 32));
 /// }
 /// let mut core = ContentionCore::new(&PlatformConfig::leon3(), 2, Arbitration::RoundRobin)?;
-/// let results = core.execute_contended(vec![victim.iter().copied(), opponent.iter().copied()], 42);
+/// let results = core.execute_contended(vec![victim.iter(), opponent.iter()], 42);
 /// assert_eq!(results.len(), 2);
 /// assert!(results[0].0 > 0 && results[1].0 > 0);
 /// # Ok(())
@@ -388,15 +389,16 @@ impl ContentionCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
+    use crate::packed::PackedTrace;
+    use crate::trace::EventSink;
     use randmod_core::{Address, PlacementKind};
 
     fn config() -> PlatformConfig {
         PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo)
     }
 
-    fn victim_trace() -> Trace {
-        let mut trace = Trace::new();
+    fn victim_trace() -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for repeat in 0..3u64 {
             for i in 0..600u64 {
                 trace.fetch(Address::new(0x1000 + (i % 16) * 32));
@@ -409,8 +411,8 @@ mod tests {
         trace
     }
 
-    fn opponent_trace() -> Trace {
-        let mut trace = Trace::new();
+    fn opponent_trace() -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for i in 0..4000u64 {
             trace.load(Address::new(0x40_0000 + (i % 4096) * 32));
         }
@@ -441,10 +443,7 @@ mod tests {
         for arbitration in Arbitration::ALL {
             let mut core = ContentionCore::new(&config(), 2, arbitration).unwrap();
             let run = |core: &mut ContentionCore| {
-                core.execute_contended(
-                    vec![victim_trace().into_iter(), opponent_trace().into_iter()],
-                    99,
-                )
+                core.execute_contended(vec![victim_trace().iter(), opponent_trace().iter()], 99)
             };
             assert_eq!(run(&mut core), run(&mut core), "{arbitration}");
         }
@@ -456,10 +455,10 @@ mod tests {
         // victim's shared-L2 lines, so the victim sees more L2 misses (and
         // more cycles) than it does next to an idle opponent.
         let mut core = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
-        let solo =
-            core.execute_contended(vec![victim_trace().into_iter(), Trace::new().into_iter()], 7);
-        let contended = core
-            .execute_contended(vec![victim_trace().into_iter(), opponent_trace().into_iter()], 7);
+        let idle = PackedTrace::new();
+        let solo = core.execute_contended(vec![victim_trace().iter(), idle.iter()], 7);
+        let contended =
+            core.execute_contended(vec![victim_trace().iter(), opponent_trace().iter()], 7);
         assert!(
             contended[0].1.l2.misses > solo[0].1.l2.misses,
             "opponent did not inflate victim L2 misses ({} vs {})",
@@ -477,9 +476,9 @@ mod tests {
         let mut core = ContentionCore::new(&config(), 3, Arbitration::SeededRandom).unwrap();
         let results = core.execute_contended(
             vec![
-                victim_trace().into_iter(),
-                opponent_trace().into_iter(),
-                opponent_trace().into_iter(),
+                victim_trace().iter(),
+                opponent_trace().iter(),
+                opponent_trace().iter(),
             ],
             21,
         );
@@ -509,10 +508,8 @@ mod tests {
         // Two identical single-level streams: round-robin must give both
         // tasks identical traffic counts.
         let mut core = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
-        let results = core.execute_contended(
-            vec![opponent_trace().into_iter(), opponent_trace().into_iter()],
-            5,
-        );
+        let results =
+            core.execute_contended(vec![opponent_trace().iter(), opponent_trace().iter()], 5);
         assert_eq!(results[0].1.dl1.accesses, results[1].1.dl1.accesses);
     }
 
@@ -520,11 +517,9 @@ mod tests {
     fn missing_streams_behave_as_idle_tasks() {
         let mut core = ContentionCore::new(&config(), 3, Arbitration::RoundRobin).unwrap();
         let trace = victim_trace();
-        let padded = core.execute_contended(
-            vec![trace.clone().into_iter(), Trace::new().into_iter(), Trace::new().into_iter()],
-            13,
-        );
-        let missing = core.execute_contended(vec![trace.into_iter()], 13);
+        let idle = PackedTrace::new();
+        let padded = core.execute_contended(vec![trace.iter(), idle.iter(), idle.iter()], 13);
+        let missing = core.execute_contended(vec![trace.iter()], 13);
         assert_eq!(padded, missing);
         assert_eq!(missing[1], (0, HierarchyStats::default()));
         assert_eq!(missing[2], (0, HierarchyStats::default()));
@@ -545,11 +540,8 @@ mod tests {
     fn extra_streams_beyond_the_task_count_are_ignored() {
         let mut core = ContentionCore::new(&config(), 1, Arbitration::RoundRobin).unwrap();
         let trace = victim_trace();
-        let clipped = core.execute_contended(
-            vec![trace.clone().into_iter(), opponent_trace().into_iter()],
-            3,
-        );
-        let solo = core.execute_contended(vec![trace.into_iter()], 3);
+        let clipped = core.execute_contended(vec![trace.iter(), opponent_trace().iter()], 3);
+        let solo = core.execute_contended(vec![trace.iter()], 3);
         assert_eq!(clipped, solo);
         assert_eq!(clipped.len(), 1);
     }
@@ -562,10 +554,7 @@ mod tests {
         let mut rr = ContentionCore::new(&config(), 2, Arbitration::RoundRobin).unwrap();
         let mut sr = ContentionCore::new(&config(), 2, Arbitration::SeededRandom).unwrap();
         let run = |core: &mut ContentionCore| {
-            core.execute_contended(
-                vec![victim_trace().into_iter(), opponent_trace().into_iter()],
-                77,
-            )
+            core.execute_contended(vec![victim_trace().iter(), opponent_trace().iter()], 77)
         };
         let a = run(&mut rr);
         let b = run(&mut sr);

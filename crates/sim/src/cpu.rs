@@ -15,12 +15,13 @@ use randmod_core::ConfigError;
 /// An in-order, single-issue core executing one run at a time.
 ///
 /// ```
-/// use randmod_sim::{InOrderCore, PlatformConfig, Trace};
+/// use randmod_sim::trace::EventSink;
+/// use randmod_sim::{InOrderCore, PackedTrace, PlatformConfig};
 /// use randmod_core::Address;
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
 /// let mut core = InOrderCore::new(&PlatformConfig::leon3())?;
-/// let mut trace = Trace::new();
+/// let mut trace = PackedTrace::new();
 /// trace.fetch(Address::new(0x1000));
 /// trace.compute(2);
 /// let (cycles, stats) = core.execute_isolated(&trace, 3);
@@ -50,7 +51,8 @@ impl InOrderCore {
     /// to completion, and returns the cycle count with the per-level
     /// statistics of this run alone — the "run to completion" unit of
     /// analysis the paper uses.  Any stream of [`MemEvent`]s works
-    /// (`&Trace`, `&PackedTrace`, a generator); it is consumed on the fly.
+    /// (`&PackedTrace`, an event iterator, a generator); it is consumed on
+    /// the fly.
     pub fn execute_isolated<I>(&mut self, events: I, seed: u64) -> (u64, HierarchyStats)
     where
         I: IntoIterator<Item = MemEvent>,
@@ -64,11 +66,11 @@ impl InOrderCore {
 mod tests {
     use super::*;
     use crate::packed::PackedTrace;
-    use crate::trace::Trace;
+    use crate::trace::EventSink;
     use randmod_core::{Address, PlacementKind};
 
-    fn loop_trace(iterations: usize, lines: u64) -> Trace {
-        let mut trace = Trace::new();
+    fn loop_trace(iterations: usize, lines: u64) -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for _ in 0..iterations {
             for i in 0..lines {
                 trace.fetch(Address::new(0x1000 + (i % 8) * 32));
@@ -83,7 +85,7 @@ mod tests {
     fn empty_trace_costs_nothing() {
         let mut core = InOrderCore::new(&PlatformConfig::leon3()).unwrap();
         assert_eq!(
-            core.execute_isolated(Trace::new(), 0),
+            core.execute_isolated(&PackedTrace::new(), 0),
             (0, HierarchyStats::default())
         );
     }
@@ -93,7 +95,7 @@ mod tests {
         let config = PlatformConfig::leon3_deterministic();
         let mut core = InOrderCore::new(&config).unwrap();
         let lat = config.latencies;
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(Address::new(0x9000)); // cold miss -> memory
         trace.load(Address::new(0x9000)); // L1 hit
         trace.compute(5);
@@ -107,8 +109,8 @@ mod tests {
         // The second iteration of a two-iteration trace runs on the caches
         // the first one warmed.
         let mut core = InOrderCore::new(&PlatformConfig::leon3_deterministic()).unwrap();
-        let (cold, _) = core.execute_isolated(loop_trace(1, 256), 0);
-        let (both, _) = core.execute_isolated(loop_trace(2, 256), 0);
+        let (cold, _) = core.execute_isolated(&loop_trace(1, 256), 0);
+        let (both, _) = core.execute_isolated(&loop_trace(2, 256), 0);
         let warm = both - cold;
         assert!(warm < cold, "warm {warm} not below cold {cold}");
     }
@@ -128,10 +130,10 @@ mod tests {
     fn packed_and_boxed_replay_are_cycle_identical() {
         let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
         let mut core = InOrderCore::new(&config).unwrap();
-        let trace = loop_trace(2, 512);
-        let packed = PackedTrace::from(&trace);
+        let packed = loop_trace(2, 512);
+        let boxed: Vec<MemEvent> = packed.iter().collect();
         for seed in [0u64, 7, 99] {
-            let (boxed_cycles, boxed_stats) = core.execute_isolated(&trace, seed);
+            let (boxed_cycles, boxed_stats) = core.execute_isolated(boxed.iter().copied(), seed);
             let (packed_cycles, packed_stats) = core.execute_isolated(&packed, seed);
             assert_eq!(boxed_cycles, packed_cycles);
             assert_eq!(boxed_stats, packed_stats);
@@ -154,7 +156,7 @@ mod tests {
     #[test]
     fn stats_reflect_trace_composition() {
         let mut core = InOrderCore::new(&PlatformConfig::leon3_deterministic()).unwrap();
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.fetch(Address::new(0));
         trace.load(Address::new(0x100));
         trace.store(Address::new(0x200));

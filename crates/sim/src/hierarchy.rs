@@ -108,7 +108,6 @@ impl LevelCounters {
             evictions: self.evictions,
             writebacks: self.writebacks,
             stores: self.stores,
-            flushes: 0,
         }
     }
 }
@@ -397,7 +396,8 @@ impl fmt::Display for HierarchyStats {
 mod tests {
     use super::*;
     use crate::cpu::InOrderCore;
-    use crate::trace::Trace;
+    use crate::packed::PackedTrace;
+    use crate::trace::EventSink;
     use randmod_core::PlacementKind;
 
     fn core(l1_placement: PlacementKind) -> (InOrderCore, LatencyConfig) {
@@ -406,7 +406,7 @@ mod tests {
     }
 
     /// The cycles and statistics of one cold run of `trace` under seed 0.
-    fn run(core: &mut InOrderCore, trace: &Trace) -> (u64, HierarchyStats) {
+    fn run(core: &mut InOrderCore, trace: &PackedTrace) -> (u64, HierarchyStats) {
         core.execute_isolated(trace, 0)
     }
 
@@ -414,7 +414,7 @@ mod tests {
     fn load_latency_depends_on_where_it_is_served() {
         let (mut h, lat) = core(PlacementKind::Modulo);
         let addr = Address::new(0x2_0000);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         // Cold: miss in L1 and L2, goes to memory.
         trace.load(addr);
         let (cold, _) = run(&mut h, &trace);
@@ -430,7 +430,7 @@ mod tests {
     fn l2_hit_after_l1_eviction_costs_l2_latency() {
         let (mut h, lat) = core(PlacementKind::Modulo);
         let target = Address::new(0);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(target);
         // Evict `target` from the 16KB L1 by streaming 32KB of other data,
         // which still fits in the 128KB L2.
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn instruction_fetches_use_the_instruction_cache() {
         let (mut h, _) = core(PlacementKind::Modulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.fetch(Address::new(0x100));
         trace.fetch(Address::new(0x100));
         let (_, stats) = run(&mut h, &trace);
@@ -459,7 +459,7 @@ mod tests {
     fn stores_cost_the_store_latency_and_do_not_allocate_in_l1() {
         let (mut h, lat) = core(PlacementKind::Modulo);
         let addr = Address::new(0x5000);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.store(addr);
         let (store, _) = run(&mut h, &trace);
         assert_eq!(store, lat.store as u64);
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn compute_events_cost_their_cycles() {
         let (mut h, _) = core(PlacementKind::Modulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.compute(17);
         let (cycles, stats) = run(&mut h, &trace);
         assert_eq!(cycles, 17);
@@ -484,7 +484,7 @@ mod tests {
     fn reseed_flushes_and_changes_layout() {
         let (mut h, lat) = core(PlacementKind::RandomModulo);
         let addr = Address::new(0x1234_0000);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(addr);
         h.execute_isolated(&trace, 1);
         // A new seed starts from empty caches: the same load misses to
@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(stats.memory_accesses, 1);
         // ...and places lines differently: a cache-stressing footprint
         // does not cost the same under every seed.
-        let mut stress = Trace::new();
+        let mut stress = PackedTrace::new();
         for _ in 0..4 {
             for i in 0..640u64 {
                 stress.load(Address::new(0x10_0000 + i * 32));
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn reset_stats_clears_counts() {
         let (mut h, _) = core(PlacementKind::Modulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(Address::new(0));
         let (_, first) = run(&mut h, &trace);
         // Every run starts from zeroed counters.
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_identical_behaviour() {
         let (mut h, _) = core(PlacementKind::RandomModulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         for i in 0..5000u64 {
             trace.load(Address::new((i * 1037) % 65536));
         }
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn stats_display_mentions_each_level() {
         let (mut h, _) = core(PlacementKind::Modulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(Address::new(0));
         let text = run(&mut h, &trace).1.to_string();
         assert!(text.contains("IL1"));
@@ -546,7 +546,7 @@ mod tests {
     #[test]
     fn l1_misses_helper_sums_both_l1s() {
         let (mut h, _) = core(PlacementKind::Modulo);
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         trace.load(Address::new(0x1000));
         trace.fetch(Address::new(0x2000));
         assert_eq!(run(&mut h, &trace).1.l1_misses(), 2);

@@ -201,7 +201,8 @@ pub(crate) fn replay_ops(ops: &[Op], stepper: &mut impl LaneStepper) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
+    use crate::packed::PackedTrace;
+    use crate::trace::EventSink;
 
     /// Records every stepped operation, for asserting driver semantics.
     #[derive(Default)]
@@ -226,7 +227,7 @@ mod tests {
 
     #[test]
     fn solo_driver_collapses_same_line_read_runs() {
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         // Three fetches of one 32-byte line, a load run crossing a line
         // boundary, a store, a compute.
         trace.fetch(Address::new(0x1000));
@@ -253,7 +254,7 @@ mod tests {
 
     #[test]
     fn collapsed_schedule_replays_exactly_what_the_streaming_replay_steps() {
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         for i in 0..40u64 {
             // A four-fetch run that crosses into the next line every
             // other iteration.

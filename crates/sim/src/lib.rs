@@ -9,12 +9,11 @@
 //!
 //! * [`config`] — platform configuration (cache geometries, placement and
 //!   replacement policies per level, latencies) with LEON3-like defaults.
-//! * [`trace`] — memory-access traces ([`MemEvent`], [`Trace`]) produced by
-//!   the workload generators of `randmod-workloads`, plus the streaming
-//!   [`EventSink`] / [`EventSource`] pipeline abstractions.
-//! * [`packed`] — [`PackedTrace`], the 8-byte-per-event replay format with
-//!   an on-the-fly decoding iterator (half the memory of a boxed
-//!   [`Trace`]).
+//! * [`trace`] — trace events ([`MemEvent`]) produced by the workload
+//!   generators of `randmod-workloads`, plus the streaming [`EventSink`] /
+//!   [`EventSource`] pipeline abstractions.
+//! * [`packed`] — [`PackedTrace`], the one trace format: 8 bytes per event
+//!   with an on-the-fly decoding iterator.
 //! * [`hierarchy`] — the two-level cache hierarchy (IL1 + DL1 + unified L2
 //!   partition + main memory) and its per-level statistics.
 //! * [`batch`] — the replay engine: decode the trace once and step `K`
@@ -44,16 +43,17 @@
 //! ```
 //! use randmod_sim::config::PlatformConfig;
 //! use randmod_sim::cpu::InOrderCore;
-//! use randmod_sim::trace::{MemEvent, Trace};
+//! use randmod_sim::packed::PackedTrace;
+//! use randmod_sim::trace::EventSink;
 //! use randmod_core::{Address, PlacementKind};
 //!
 //! # fn main() -> Result<(), randmod_core::ConfigError> {
 //! let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
 //! let mut core = InOrderCore::new(&config)?;
 //!
-//! let mut trace = Trace::new();
-//! trace.push(MemEvent::InstrFetch(Address::new(0x1000)));
-//! trace.push(MemEvent::Load(Address::new(0x8000)));
+//! let mut trace = PackedTrace::new();
+//! trace.fetch(Address::new(0x1000));
+//! trace.load(Address::new(0x8000));
 //! let (cycles, stats) = core.execute_isolated(&trace, 42);
 //! assert!(cycles > 0);
 //! assert_eq!(stats.l1_misses(), 2);
@@ -97,4 +97,4 @@ pub use run::{
     ContendedAdaptiveResult, ContendedResult, ContendedRun, RunResult, ShardSpec, ShardedReport,
     TaskRun,
 };
-pub use trace::{EventSink, EventSource, MemEvent, SinkFn, Trace, TraceStats};
+pub use trace::{EventSink, EventSource, MemEvent, SinkFn, TraceStats};

@@ -1,11 +1,11 @@
 //! Packed trace representation: one 8-byte word per event.
 //!
-//! A [`crate::trace::Trace`] stores `Vec<MemEvent>`, and the enum layout of
-//! [`MemEvent`] costs 16 bytes per event (discriminant + padding + payload).
-//! Replay campaigns stream the same trace hundreds of times, so the trace
-//! representation sits on the memory-bandwidth hot path of every
-//! experiment.  [`PackedTrace`] halves it: each event is a single `u64`
-//! with a 2-bit kind tag in the low bits and the payload above —
+//! The enum layout of [`MemEvent`] costs 16 bytes per event (discriminant +
+//! padding + payload).  Replay campaigns stream the same trace hundreds of
+//! times, so the trace representation sits on the memory-bandwidth hot
+//! path of every experiment.  [`PackedTrace`], the one trace format, halves
+//! it: each event is a single `u64` with a 2-bit kind tag in the low bits
+//! and the payload above —
 //!
 //! ```text
 //! 63                                            2 1 0
@@ -27,7 +27,7 @@
 //! `push` per event.
 
 use crate::checkpoint::{atomic_write, fnv1a};
-use crate::trace::{run_events, EventSink, EventSource, MemEvent, Trace};
+use crate::trace::{run_events, EventSink, EventSource, MemEvent};
 use crate::wire::le_u64;
 use randmod_core::{AccessKind, Address};
 use std::fmt;
@@ -84,8 +84,9 @@ fn decode(word: u64) -> MemEvent {
 
 /// A program trace packed to 8 bytes per event.
 ///
-/// Functionally equivalent to [`Trace`] — replaying a `PackedTrace`
-/// produces cycle-identical campaigns — at half the memory footprint.
+/// Build one with [`PackedTrace::push`], the [`EventSink`] helpers
+/// (`fetch`, `load`, `store`, `compute`, `emit_run`) or by collecting
+/// [`MemEvent`]s; replay it through any campaign as an [`EventSource`].
 ///
 /// ```
 /// use randmod_sim::packed::PackedTrace;
@@ -167,11 +168,6 @@ impl PackedTrace {
         }
     }
 
-    /// Collects the events into a boxed [`Trace`] (compatibility adapter).
-    pub fn to_trace(&self) -> Trace {
-        self.iter().collect()
-    }
-
     /// Computes summary statistics for a given cache-line size, decoding
     /// on the fly.
     pub fn stats(&self, line_size: u32) -> crate::trace::TraceStats {
@@ -239,12 +235,6 @@ impl<'a> IntoIterator for &'a PackedTrace {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-impl From<&Trace> for PackedTrace {
-    fn from(trace: &Trace) -> Self {
-        trace.iter().copied().collect()
     }
 }
 
@@ -460,14 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_and_back() {
-        let trace: Trace = sample_events().into_iter().collect();
-        let packed = PackedTrace::from(&trace);
-        assert_eq!(packed.to_trace(), trace);
-        assert_eq!(packed.len(), trace.len());
-    }
-
-    #[test]
     fn extend_and_collect_match_push() {
         let mut a = PackedTrace::with_capacity(4);
         a.extend(sample_events());
@@ -512,19 +494,19 @@ mod tests {
     #[test]
     fn event_sink_parity_with_trace() {
         let mut packed = PackedTrace::new();
-        let mut boxed = Trace::new();
         let sink: &mut dyn EventSink = &mut packed;
         sink.fetch(Address::new(0x1000));
         sink.load(Address::new(0x2000));
         sink.store(Address::new(0x3000));
         sink.compute(5);
-        sink.compute(0); // dropped, as Trace::compute does
-        boxed.fetch(Address::new(0x1000));
-        boxed.load(Address::new(0x2000));
-        boxed.store(Address::new(0x3000));
-        boxed.compute(5);
-        boxed.compute(0);
-        assert_eq!(packed.to_trace(), boxed);
+        sink.compute(0); // dropped, as for every sink
+        let expected = vec![
+            MemEvent::InstrFetch(Address::new(0x1000)),
+            MemEvent::Load(Address::new(0x2000)),
+            MemEvent::Store(Address::new(0x3000)),
+            MemEvent::Compute(5),
+        ];
+        assert_eq!(packed.iter().collect::<Vec<_>>(), expected);
     }
 
     /// The same run pushed one event at a time: the reference the run

@@ -8,9 +8,9 @@
 //! thread (each run is independent by construction): every worker owns a
 //! [`crate::batch::BatchCore`] that decodes the shared trace once per group
 //! of [`Campaign::lanes`] seeds instead of once per run.  The program is
-//! any [`EventSource`](crate::trace::EventSource) — a boxed
-//! [`Trace`](crate::trace::Trace), a packed [`crate::packed::PackedTrace`],
-//! or a slice of events — shared read-only across the worker threads.
+//! any [`EventSource`](crate::trace::EventSource) — a
+//! [`crate::packed::PackedTrace`] or a slice of events — shared read-only
+//! across the worker threads.
 //!
 //! Contended campaigns ([`Campaign::run_contended`]) share the worker
 //! pool but not the lanes: every worker owns a scalar
@@ -21,9 +21,9 @@
 //! For the deterministic baseline of Figure 4(b), the execution time does
 //! not vary with a seed but with the *memory layout* of the program; the
 //! corresponding protocol, sweeping layouts and recording the high-water
-//! mark, is provided by [`Campaign::run_layout_sweep_with`] (which builds
+//! mark, is provided by [`Campaign::run_layout_sweep_with`], which builds
 //! one layout's trace at a time, keeping the sweep's memory footprint
-//! constant) and its collecting adapter [`Campaign::run_layout_sweep`].
+//! constant.
 //!
 //! The module is organised by protocol:
 //!
@@ -63,11 +63,12 @@ use crate::contention::Arbitration;
 /// A measurement campaign: a platform configuration plus a run count.
 ///
 /// ```
-/// use randmod_sim::{Campaign, PlatformConfig, Trace};
+/// use randmod_sim::trace::EventSink;
+/// use randmod_sim::{Campaign, PackedTrace, PlatformConfig};
 /// use randmod_core::{Address, PlacementKind};
 ///
 /// # fn main() -> Result<(), randmod_core::ConfigError> {
-/// let mut trace = Trace::new();
+/// let mut trace = PackedTrace::new();
 /// for i in 0..64u64 {
 ///     trace.load(Address::new(0x1000 + i * 32));
 /// }
@@ -178,19 +179,31 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::hierarchy::HierarchyStats;
-    use crate::trace::{MemEvent, Trace};
+    use crate::packed::PackedTrace;
+    use crate::trace::{EventSink, MemEvent};
     use randmod_core::prng::SeedSequence;
     use randmod_core::{Address, PlacementKind};
 
-    fn stress_trace() -> Trace {
-        let mut trace = Trace::new();
+    /// The stress program with its code shifted by `code_offset` and its
+    /// data by `data_offset` bytes.
+    fn emit_stress(sink: &mut impl EventSink, code_offset: u64, data_offset: u64) {
         for repeat in 0..3 {
             for i in 0..640u64 {
-                trace.fetch(Address::new(0x1000 + (i % 16) * 32));
-                trace.load(Address::new(0x10_0000 + i * 32 + repeat));
+                sink.fetch(Address::new(0x1000 + code_offset + (i % 16) * 32));
+                sink.load(Address::new(0x10_0000 + data_offset + i * 32 + repeat));
             }
         }
+    }
+
+    /// The stress program placed at the `i`-th memory layout.
+    fn layout_trace(i: u64) -> PackedTrace {
+        let mut trace = PackedTrace::new();
+        emit_stress(&mut trace, i * 64, i * 4096);
         trace
+    }
+
+    fn stress_trace() -> PackedTrace {
+        layout_trace(0)
     }
 
     #[test]
@@ -303,22 +316,20 @@ mod tests {
     #[test]
     fn deterministic_layout_sweep_records_layout_indices() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(2);
-        let base = stress_trace();
-        let layouts: Vec<Trace> = (0..5u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let result = campaign.run_layout_sweep(&layouts).unwrap();
+        let sweep = || campaign.run_layout_sweep_with(5, |i| layout_trace(i as u64)).unwrap();
+        let result = sweep();
         assert_eq!(result.len(), 5);
         let indices: Vec<u64> = result.runs().iter().map(|r| r.seed).collect();
         assert_eq!(indices, vec![0, 1, 2, 3, 4]);
         // Deterministic platform: re-running the sweep reproduces it.
-        assert_eq!(result, campaign.run_layout_sweep(&layouts).unwrap());
+        assert_eq!(result, sweep());
     }
 
     #[test]
     fn empty_layout_sweep_is_empty() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0);
-        assert!(campaign.run_layout_sweep(&[]).unwrap().is_empty());
         assert!(campaign
-            .run_layout_sweep_with(0, |_| Trace::new())
+            .run_layout_sweep_with(0, |_| PackedTrace::new())
             .unwrap()
             .is_empty());
     }
@@ -326,32 +337,26 @@ mod tests {
     #[test]
     fn streamed_layout_sweep_matches_collected_sweep() {
         let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0).with_threads(3);
-        let base = stress_trace();
-        let layouts: Vec<Trace> = (0..7u64).map(|i| base.with_offsets(i * 64, i * 4096)).collect();
-        let collected = campaign.run_layout_sweep(&layouts).unwrap();
+        let layouts: Vec<PackedTrace> = (0..7u64).map(layout_trace).collect();
+        let collected = campaign.run_layout_sweep_with(7, |i| &layouts[i]).unwrap();
         let streamed = campaign
-            .run_layout_sweep_with(7, |i| base.with_offsets(i as u64 * 64, i as u64 * 4096))
+            .run_layout_sweep_with(7, |i| layout_trace(i as u64))
             .unwrap();
         assert_eq!(collected, streamed);
     }
 
     #[test]
-    fn packed_replay_matches_boxed_replay() {
+    fn campaign_accepts_event_slices() {
+        // The same program emitted per event into a slice and packed into
+        // a `PackedTrace` replays to the same campaign.
+        let mut events: Vec<MemEvent> = Vec::new();
+        emit_stress(&mut events, 0, 0);
         let campaign = Campaign::new(
             PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo),
             10,
         )
         .with_campaign_seed(11)
         .with_threads(2);
-        let trace = stress_trace();
-        let packed = crate::packed::PackedTrace::from(&trace);
-        assert_eq!(campaign.run(&trace).unwrap(), campaign.run(&packed).unwrap());
-    }
-
-    #[test]
-    fn campaign_accepts_event_slices() {
-        let events: Vec<MemEvent> = stress_trace().into_iter().collect();
-        let campaign = Campaign::new(PlatformConfig::leon3(), 4).with_threads(2);
         let from_slice = campaign.run(&events[..]).unwrap();
         let from_trace = campaign.run(&stress_trace()).unwrap();
         assert_eq!(from_slice, from_trace);
@@ -371,8 +376,8 @@ mod tests {
         );
     }
 
-    fn opponent_trace() -> Trace {
-        let mut trace = Trace::new();
+    fn opponent_trace() -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for i in 0..3000u64 {
             trace.load(Address::new(0x40_0000 + (i % 4096) * 32));
         }
@@ -467,7 +472,7 @@ mod tests {
                 .iter()
                 .map(|&seed| {
                     scalar.execute_contended(
-                        sources.iter().map(|s| s.iter().copied()).collect(),
+                        sources.iter().map(PackedTrace::iter).collect(),
                         seed,
                     )
                 })
@@ -503,7 +508,7 @@ mod tests {
         let seeds = [9u64, 8, 7, 6];
         let solo = campaign.run_seeds(&victim, &seeds).unwrap();
         let contended = campaign
-            .run_contended(&[victim.clone(), Trace::new()], &seeds)
+            .run_contended(&[victim.clone(), PackedTrace::new()], &seeds)
             .unwrap();
         assert_eq!(contended.victim_result(), solo);
         for run in contended.runs() {
@@ -524,7 +529,7 @@ mod tests {
         let victim = stress_trace();
         let solo = campaign.run(&victim).unwrap();
         let contended = campaign
-            .run_contended_campaign(&[victim.clone(), Trace::new()])
+            .run_contended_campaign(&[victim.clone(), PackedTrace::new()])
             .unwrap();
         assert_eq!(contended.victim_result(), solo);
         assert_eq!(contended.len(), 7);
@@ -534,7 +539,7 @@ mod tests {
     fn contended_result_accessors_and_empty_cases() {
         let campaign = Campaign::new(PlatformConfig::leon3(), 0);
         assert!(campaign
-            .run_contended::<Trace>(&[], &[1, 2])
+            .run_contended::<PackedTrace>(&[], &[1, 2])
             .unwrap()
             .is_empty());
         assert!(campaign

@@ -187,7 +187,6 @@ fn push_cache_stats(buf: &mut Vec<u8>, stats: &CacheStats) {
         stats.evictions,
         stats.writebacks,
         stats.stores,
-        stats.flushes,
     ] {
         push_u64(buf, v);
     }
@@ -202,7 +201,6 @@ fn read_cache_stats(bytes: &[u8], pos: &mut usize) -> Option<CacheStats> {
         evictions: read_u64(bytes, pos)?,
         writebacks: read_u64(bytes, pos)?,
         stores: read_u64(bytes, pos)?,
-        flushes: read_u64(bytes, pos)?,
     })
 }
 
@@ -756,7 +754,8 @@ mod tests {
     use super::*;
     use crate::checkpoint::MemoryCheckpointStore;
     use crate::config::PlatformConfig;
-    use crate::trace::Trace;
+    use crate::packed::PackedTrace;
+    use crate::trace::EventSink;
     use randmod_core::{Address, PlacementKind};
 
     #[test]
@@ -792,8 +791,8 @@ mod tests {
         ShardSpec::new(4, 2).range(2);
     }
 
-    fn small_trace() -> Trace {
-        let mut trace = Trace::new();
+    fn small_trace() -> PackedTrace {
+        let mut trace = PackedTrace::new();
         for i in 0..200u64 {
             trace.fetch(Address::new(0x1000 + (i % 8) * 32));
             trace.load(Address::new(0x2_0000 + i * 32));
@@ -841,7 +840,7 @@ mod tests {
 
     #[test]
     fn contended_runs_round_trip_the_wire_format() {
-        let mut opponent = Trace::new();
+        let mut opponent = PackedTrace::new();
         for i in 0..150u64 {
             opponent.load(Address::new(0x40_0000 + (i % 512) * 32));
         }
@@ -920,7 +919,7 @@ mod tests {
     fn empty_contended_checkpointed_campaign_is_empty() {
         let mut store = MemoryCheckpointStore::new();
         let report = campaign(0)
-            .run_contended_sharded_checkpointed::<Trace>(&[], 4, &mut store)
+            .run_contended_sharded_checkpointed::<PackedTrace>(&[], 4, &mut store)
             .unwrap();
         assert!(report.result.is_empty());
         assert_eq!(report.executed, 0);

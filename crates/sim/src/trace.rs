@@ -10,10 +10,9 @@
 //!
 //! * [`EventSink`] — where a generator *writes* events, one at a time or
 //!   as a strided run of one access kind ([`EventSink::emit_run`]).
-//!   Implemented by the boxed [`Trace`] (`Vec<MemEvent>`, 16 bytes/event),
-//!   by the packed [`crate::packed::PackedTrace`] (8 bytes/event) and by
-//!   [`SinkFn`] (constant memory — count, summarise or filter without
-//!   storing).
+//!   Implemented by the trace format, [`crate::packed::PackedTrace`]
+//!   (8 bytes/event), by [`SinkFn`] (constant memory — count, summarise or
+//!   filter without storing) and by a plain `Vec<MemEvent>`.
 //! * [`EventSource`] — where a replay *reads* events.  A source hands out a
 //!   fresh iterator per run, which is what lets one shared trace feed the
 //!   parallel runs of a [`crate::run::Campaign`] without being cloned.
@@ -61,9 +60,8 @@ impl MemEvent {
 /// A consumer of trace events: the write end of the streaming pipeline.
 ///
 /// Workload generators emit into a sink instead of returning a
-/// materialised `Vec`, so the same generator code can fill a boxed
-/// [`Trace`], a packed [`crate::packed::PackedTrace`] or a constant-memory
-/// [`SinkFn`].
+/// materialised `Vec`, so the same generator code can fill a
+/// [`crate::packed::PackedTrace`] or a constant-memory [`SinkFn`].
 ///
 /// Most of a program trace is strided runs — straight-line code, loop
 /// bodies, array sweeps, stack spills — so besides the per-event
@@ -152,12 +150,6 @@ pub(crate) fn run_events(
     })
 }
 
-impl EventSink for Trace {
-    fn emit(&mut self, event: MemEvent) {
-        self.push(event);
-    }
-}
-
 impl EventSink for Vec<MemEvent> {
     fn emit(&mut self, event: MemEvent) {
         self.push(event);
@@ -207,12 +199,6 @@ impl<S: EventSource + ?Sized> EventSource for &S {
     }
 }
 
-impl EventSource for Trace {
-    fn events(&self) -> impl Iterator<Item = MemEvent> + '_ {
-        self.iter().copied()
-    }
-}
-
 impl EventSource for [MemEvent] {
     fn events(&self) -> impl Iterator<Item = MemEvent> + '_ {
         self.iter().copied()
@@ -222,137 +208,6 @@ impl EventSource for [MemEvent] {
 impl EventSource for Vec<MemEvent> {
     fn events(&self) -> impl Iterator<Item = MemEvent> + '_ {
         self.iter().copied()
-    }
-}
-
-/// A program's memory-access trace.
-///
-/// ```
-/// use randmod_sim::trace::{MemEvent, Trace};
-/// use randmod_core::Address;
-///
-/// let mut trace = Trace::new();
-/// trace.push(MemEvent::InstrFetch(Address::new(0x1000)));
-/// trace.push(MemEvent::Load(Address::new(0x2000)));
-/// assert_eq!(trace.len(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Trace {
-    events: Vec<MemEvent>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Creates an empty trace with capacity for `n` events.
-    pub fn with_capacity(n: usize) -> Self {
-        Trace {
-            events: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, event: MemEvent) {
-        self.events.push(event);
-    }
-
-    /// Appends an instruction fetch.
-    pub fn fetch(&mut self, addr: Address) {
-        self.push(MemEvent::InstrFetch(addr));
-    }
-
-    /// Appends a load.
-    pub fn load(&mut self, addr: Address) {
-        self.push(MemEvent::Load(addr));
-    }
-
-    /// Appends a store.
-    pub fn store(&mut self, addr: Address) {
-        self.push(MemEvent::Store(addr));
-    }
-
-    /// Appends `cycles` of computation.
-    pub fn compute(&mut self, cycles: u32) {
-        if cycles > 0 {
-            self.push(MemEvent::Compute(cycles));
-        }
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates over the events.
-    pub fn iter(&self) -> std::slice::Iter<'_, MemEvent> {
-        self.events.iter()
-    }
-
-    /// The events as a slice.
-    pub fn events(&self) -> &[MemEvent] {
-        &self.events
-    }
-
-    /// Returns a copy of the trace with every address shifted by
-    /// `code_offset` (instruction fetches) or `data_offset` (loads and
-    /// stores).  Used by the deterministic-placement memory-layout sweeps.
-    pub fn with_offsets(&self, code_offset: u64, data_offset: u64) -> Trace {
-        let events = self
-            .events
-            .iter()
-            .map(|e| match *e {
-                MemEvent::InstrFetch(a) => MemEvent::InstrFetch(a.offset(code_offset)),
-                MemEvent::Load(a) => MemEvent::Load(a.offset(data_offset)),
-                MemEvent::Store(a) => MemEvent::Store(a.offset(data_offset)),
-                MemEvent::Compute(c) => MemEvent::Compute(c),
-            })
-            .collect();
-        Trace { events }
-    }
-
-    /// Computes summary statistics for a given cache-line size.
-    pub fn stats(&self, line_size: u32) -> TraceStats {
-        TraceStats::from_events(self.iter().copied(), line_size)
-    }
-}
-
-impl Extend<MemEvent> for Trace {
-    fn extend<T: IntoIterator<Item = MemEvent>>(&mut self, iter: T) {
-        self.events.extend(iter);
-    }
-}
-
-impl FromIterator<MemEvent> for Trace {
-    fn from_iter<T: IntoIterator<Item = MemEvent>>(iter: T) -> Self {
-        Trace {
-            events: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = MemEvent;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, MemEvent>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.iter().copied()
-    }
-}
-
-impl IntoIterator for Trace {
-    type Item = MemEvent;
-    type IntoIter = std::vec::IntoIter<MemEvent>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.into_iter()
     }
 }
 
@@ -458,40 +313,35 @@ impl fmt::Display for TraceStats {
 mod tests {
     use super::*;
 
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new();
-        t.fetch(Address::new(0x1000));
-        t.fetch(Address::new(0x1004));
-        t.load(Address::new(0x8000));
-        t.store(Address::new(0x8020));
-        t.compute(3);
-        t
+    fn sample_events() -> Vec<MemEvent> {
+        let mut events = Vec::new();
+        events.fetch(Address::new(0x1000));
+        events.fetch(Address::new(0x1004));
+        events.load(Address::new(0x8000));
+        events.store(Address::new(0x8020));
+        events.compute(3);
+        events
     }
 
     #[test]
     fn push_helpers_record_expected_events() {
-        let t = sample_trace();
-        assert_eq!(t.len(), 5);
-        assert!(!t.is_empty());
-        assert_eq!(
-            t.events()[0],
-            MemEvent::InstrFetch(Address::new(0x1000))
-        );
-        assert_eq!(t.events()[3], MemEvent::Store(Address::new(0x8020)));
-        assert_eq!(t.events()[4], MemEvent::Compute(3));
+        let events = sample_events();
+        assert_eq!(events.len(), 5);
+        assert_eq!(events[0], MemEvent::InstrFetch(Address::new(0x1000)));
+        assert_eq!(events[3], MemEvent::Store(Address::new(0x8020)));
+        assert_eq!(events[4], MemEvent::Compute(3));
     }
 
     #[test]
     fn compute_zero_is_dropped() {
-        let mut t = Trace::new();
-        t.compute(0);
-        assert!(t.is_empty());
+        let mut events = Vec::new();
+        events.compute(0);
+        assert!(events.is_empty());
     }
 
     #[test]
     fn stats_count_events_and_footprints() {
-        let t = sample_trace();
-        let s = t.stats(32);
+        let s = TraceStats::from_events(sample_events(), 32);
         assert_eq!(s.instr_fetches, 2);
         assert_eq!(s.loads, 1);
         assert_eq!(s.stores, 1);
@@ -503,19 +353,6 @@ mod tests {
         assert_eq!(s.data_footprint_bytes(), 64);
         assert_eq!(s.code_footprint_bytes(), 32);
         assert!(s.to_string().contains("2 fetches"));
-    }
-
-    #[test]
-    fn with_offsets_shifts_code_and_data_independently() {
-        let t = sample_trace();
-        let shifted = t.with_offsets(0x100, 0x40);
-        assert_eq!(
-            shifted.events()[0],
-            MemEvent::InstrFetch(Address::new(0x1100))
-        );
-        assert_eq!(shifted.events()[2], MemEvent::Load(Address::new(0x8040)));
-        assert_eq!(shifted.events()[4], MemEvent::Compute(3));
-        assert_eq!(shifted.len(), t.len());
     }
 
     #[test]
@@ -531,24 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_collect_and_extend() {
-        let events = [MemEvent::Load(Address::new(0)), MemEvent::Compute(1)];
-        let mut t: Trace = events.iter().copied().collect();
-        assert_eq!(t.len(), 2);
-        t.extend([MemEvent::Store(Address::new(32))]);
-        assert_eq!(t.len(), 3);
-        let collected: Vec<MemEvent> = (&t).into_iter().collect();
-        assert_eq!(collected.len(), 3);
-        let owned: Vec<MemEvent> = t.into_iter().collect();
-        assert_eq!(owned.len(), 3);
-    }
-
-    #[test]
     fn default_run_emits_one_event_per_step() {
-        let mut t = Trace::new();
-        t.emit_run(AccessKind::InstructionFetch, Address::new(0x1000), 3, 4);
-        t.emit_run(AccessKind::Store, Address::new(0x8000), 0, 4);
-        t.emit_run(AccessKind::Load, Address::new(0x8000), 2, 0);
+        let mut events = Vec::new();
+        events.emit_run(AccessKind::InstructionFetch, Address::new(0x1000), 3, 4);
+        events.emit_run(AccessKind::Store, Address::new(0x8000), 0, 4);
+        events.emit_run(AccessKind::Load, Address::new(0x8000), 2, 0);
         let expected = [
             MemEvent::InstrFetch(Address::new(0x1000)),
             MemEvent::InstrFetch(Address::new(0x1004)),
@@ -556,18 +380,12 @@ mod tests {
             MemEvent::Load(Address::new(0x8000)),
             MemEvent::Load(Address::new(0x8000)),
         ];
-        assert_eq!(t.events(), expected);
+        assert_eq!(events, expected);
     }
 
     #[test]
     #[should_panic(expected = "overflows u64")]
     fn default_run_panics_instead_of_wrapping() {
         Vec::<MemEvent>::new().emit_run(AccessKind::Load, Address::new(8), 2, u64::MAX);
-    }
-
-    #[test]
-    fn with_capacity_starts_empty() {
-        let t = Trace::with_capacity(100);
-        assert!(t.is_empty());
     }
 }

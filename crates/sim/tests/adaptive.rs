@@ -10,12 +10,13 @@
 use randmod_core::prng::SeedSequence;
 use randmod_core::{Address, PlacementKind};
 use randmod_mbpta::ConvergenceCriterion;
-use randmod_sim::{Campaign, PlatformConfig, Trace};
+use randmod_sim::trace::EventSink;
+use randmod_sim::{Campaign, PackedTrace, PlatformConfig};
 
 /// A trace whose data footprint stresses the caches, so random placement
 /// produces genuine execution-time variance.
-fn noisy_trace() -> Trace {
-    let mut trace = Trace::new();
+fn noisy_trace() -> PackedTrace {
+    let mut trace = PackedTrace::new();
     for repeat in 0..3u64 {
         for i in 0..900u64 {
             trace.fetch(Address::new(0x1000 + (i % 24) * 32));
@@ -30,8 +31,8 @@ fn noisy_trace() -> Trace {
 
 /// A tiny trace that fits entirely in the L1, so every seed produces the
 /// same cycle count (the degenerate regime of the EEMBC kernels under RM).
-fn constant_trace() -> Trace {
-    let mut trace = Trace::new();
+fn constant_trace() -> PackedTrace {
+    let mut trace = PackedTrace::new();
     for _ in 0..4u64 {
         for i in 0..32u64 {
             trace.load(Address::new(0x1000 + i * 32));

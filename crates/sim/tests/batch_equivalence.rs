@@ -11,11 +11,12 @@ mod common;
 use common::{event_strategy, expand, platform};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
-use randmod_sim::{BatchCore, Campaign, InOrderCore, PackedTrace, PlatformConfig, Trace};
+use randmod_sim::trace::{EventSink, MemEvent};
+use randmod_sim::{BatchCore, Campaign, InOrderCore, PackedTrace, PlatformConfig};
 
 /// A fixed cache-stressing trace for the deterministic edge-case tests.
-fn stress_trace() -> Trace {
-    let mut trace = Trace::new();
+fn stress_trace() -> PackedTrace {
+    let mut trace = PackedTrace::new();
     for repeat in 0..2u64 {
         for i in 0..700u64 {
             trace.fetch(Address::new(0x1000 + (i % 20) * 32));
@@ -166,7 +167,8 @@ proptest! {
     }
 
     /// The campaign produces one bit-identical `CampaignResult` for every
-    /// `(lanes, threads)` combination, from packed and boxed sources alike.
+    /// `(lanes, threads)` combination, from packed traces and event slices
+    /// alike.
     #[test]
     fn campaign_result_is_invariant_under_lanes_and_threads(
         events in prop::collection::vec(event_strategy(), 1..250),
@@ -175,14 +177,14 @@ proptest! {
     ) {
         let placement = PlacementKind::ALL[placement_index];
         let config = PlatformConfig::leon3().with_l1_placement(placement);
-        let trace = expand(&events);
-        let packed = PackedTrace::from(&trace);
+        let packed = expand(&events);
+        let boxed: Vec<MemEvent> = packed.iter().collect();
         let runs = 10;
         let reference = Campaign::new(config, runs)
             .with_campaign_seed(campaign_seed)
             .with_threads(1)
             .with_lanes(1)
-            .run(&trace)
+            .run(&boxed[..])
             .unwrap();
         // 10 runs make 3, 5 and 16 the non-multiple widths (partial final
         // lane groups); 2 and 7 add ragged thread chunks on top.

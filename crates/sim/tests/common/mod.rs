@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind, ReplacementKind, WritePolicy};
 use randmod_sim::trace::MemEvent;
-use randmod_sim::{PlatformConfig, Trace};
+use randmod_sim::{PackedTrace, PlatformConfig};
 
 /// Strategy: one trace event biased towards cache-stressing reads, with
 /// addresses spread over a few hundred KB so all three levels see
@@ -33,7 +33,7 @@ pub fn event_strategy() -> impl Strategy<Value = (MemEvent, usize)> {
 
 /// Expands `(event, repeats)` pairs into a trace; repeated reads of one
 /// address are exactly the same-line runs the engine collapses.
-pub fn expand(events: &[(MemEvent, usize)]) -> Trace {
+pub fn expand(events: &[(MemEvent, usize)]) -> PackedTrace {
     events
         .iter()
         .flat_map(|&(event, repeats)| (0..repeats).map(move |_| event))

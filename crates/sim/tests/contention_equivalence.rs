@@ -23,7 +23,37 @@ use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::{Address, PlacementKind};
 use randmod_sim::contention::{Arbitration, ContentionCore};
-use randmod_sim::{Campaign, InOrderCore, PlatformConfig, Trace};
+use randmod_sim::trace::EventSink;
+use randmod_sim::{Campaign, HierarchyStats, InOrderCore, PackedTrace, PlatformConfig};
+
+/// One run's `(cycles, stats)`.
+type Run = (u64, HierarchyStats);
+
+/// Replays `trace` as task 0 of a `ContentionCore` beside `opponents` idle
+/// tasks, and alone on the solo engine, once per seed: the per-task
+/// contended runs and the solo run, seed by seed.
+fn idle_opponent_runs(
+    config: &PlatformConfig,
+    arbitration: Arbitration,
+    opponents: usize,
+    trace: &PackedTrace,
+    seeds: &[u64],
+) -> Vec<(Vec<Run>, Run)> {
+    let mut contended = ContentionCore::new(config, 1 + opponents, arbitration).unwrap();
+    let mut solo = InOrderCore::new(config).unwrap();
+    let idle = PackedTrace::new();
+    seeds
+        .iter()
+        .map(|&seed| {
+            let mut streams = vec![trace.iter()];
+            streams.extend((0..opponents).map(|_| idle.iter()));
+            (
+                contended.execute_contended(streams, seed),
+                solo.execute_isolated(trace, seed),
+            )
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -47,15 +77,9 @@ proptest! {
             Arbitration::RoundRobin
         };
         let trace = expand(&events);
-        let mut contended = ContentionCore::new(&config, 1 + opponents, arbitration).unwrap();
-        let mut reference = InOrderCore::new(&config).unwrap();
-        for &seed in &seeds {
-            let mut streams = vec![trace.iter().copied()];
-            streams.extend((0..opponents).map(|_| [].iter().copied()));
-            let results = contended.execute_contended(streams, seed);
-            let (ref_cycles, ref_stats) = reference.execute_isolated(&trace, seed);
-            prop_assert_eq!(results[0], (ref_cycles, ref_stats));
-            for idle in &results[1..] {
+        for (contended, solo) in idle_opponent_runs(&config, arbitration, opponents, &trace, &seeds) {
+            prop_assert_eq!(contended[0], solo);
+            for idle in &contended[1..] {
                 prop_assert_eq!(idle.0, 0);
             }
         }
@@ -125,9 +149,51 @@ proptest! {
                 let contended = Campaign::new(config, 0)
                     .with_threads(threads)
                     .with_arbitration(arbitration)
-                    .run_contended(&[trace.clone(), Trace::new()], &seeds)
+                    .run_contended(&[trace.clone(), PackedTrace::new()], &seeds)
                     .unwrap();
                 prop_assert_eq!(contended.victim_result(), reference.clone());
+            }
+        }
+    }
+}
+
+/// The idle-opponent check on a fixed victim that stresses every level:
+/// its data overflows the DL1 and, under RM in the L2, its lines collide
+/// in L2 sets.  The victim's DL1 and L2 outcomes then depend on the
+/// seeds those two caches draw, so a contended engine that hands task 0
+/// other seeds than the solo engine does (say, by deriving the shared
+/// L2's seed before task 0's DL1) fails here even when short random
+/// traces that rarely evict do not notice.
+#[test]
+fn idle_opponents_match_the_solo_engine_on_a_capacity_stressing_victim() {
+    // Eight 8KB arrays, 32KB (one L2 way) apart: 2,048 data lines against
+    // the DL1's 512, and as many L2 lines as the L2 has sets, spread over
+    // eight RM segments so some sets receive more lines than ways.
+    let mut victim = PackedTrace::new();
+    for _ in 0..3 {
+        for line in 0..256u64 {
+            victim.fetch(Address::new(0x1000 + (line % 32) * 4));
+            for array in 0..8u64 {
+                victim.load(Address::new(0x10_0000 + array * 0x8000 + line * 32));
+            }
+        }
+    }
+    let config = PlatformConfig::leon3()
+        .with_l1_placement(PlacementKind::RandomModulo)
+        .with_l2_placement(PlacementKind::RandomModulo);
+    let seeds = [1u64, 0xC0FFEE, 0xDEAD_BEEF, u64::MAX];
+    for arbitration in Arbitration::ALL {
+        for opponents in [1usize, 2] {
+            for (seed, (contended, solo)) in seeds
+                .iter()
+                .zip(idle_opponent_runs(&config, arbitration, opponents, &victim, &seeds))
+            {
+                assert!(solo.1.dl1.misses > 0 && solo.1.l2.misses > 0);
+                assert_eq!(
+                    contended[0], solo,
+                    "{arbitration}, {opponents} idle opponent(s), seed {seed:#x}"
+                );
+                assert!(contended[1..].iter().all(|idle| idle.0 == 0));
             }
         }
     }
@@ -140,8 +206,8 @@ proptest! {
 #[test]
 fn contended_schedule_is_a_pure_function_of_the_seed() {
     let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
-    let mut victim = Trace::new();
-    let mut opponent = Trace::new();
+    let mut victim = PackedTrace::new();
+    let mut opponent = PackedTrace::new();
     for i in 0..2_000u64 {
         victim.fetch(Address::new(0x1000 + (i % 32) * 32));
         victim.load(Address::new(0x10_0000 + (i % 1024) * 32));

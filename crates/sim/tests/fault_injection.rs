@@ -13,15 +13,16 @@
 
 use randmod_core::{Address, PlacementKind};
 use randmod_sim::checkpoint::{CheckpointError, CheckpointStore};
+use randmod_sim::trace::EventSink;
 use randmod_sim::{
     Campaign, CampaignError, CampaignResult, ContendedResult, FaultPlan, FaultyStore,
-    FileCheckpointStore, MemoryCheckpointStore, PlatformConfig, Trace,
+    FileCheckpointStore, MemoryCheckpointStore, PackedTrace, PlatformConfig,
 };
 
 const SHARDS: usize = 4;
 
-fn victim_trace() -> Trace {
-    let mut trace = Trace::new();
+fn victim_trace() -> PackedTrace {
+    let mut trace = PackedTrace::new();
     for i in 0..1_200u64 {
         trace.fetch(Address::new(0x1000 + (i % 24) * 32));
         trace.load(Address::new(0x10_0000 + (i % 640) * 32));
@@ -32,8 +33,8 @@ fn victim_trace() -> Trace {
     trace
 }
 
-fn opponent_trace() -> Trace {
-    let mut trace = Trace::new();
+fn opponent_trace() -> PackedTrace {
+    let mut trace = PackedTrace::new();
     for i in 0..900u64 {
         trace.load(Address::new(0x80_0000 + (i % 2048) * 32));
     }

@@ -42,7 +42,8 @@ use randmod_core::{Address, CacheGeometry, CacheStats, PlacementKind, Replacemen
 use randmod_sim::contention::{Arbitration, ContentionCore};
 use randmod_sim::hierarchy::HierarchyStats;
 use randmod_sim::trace::MemEvent;
-use randmod_sim::{BatchCore, Campaign, InOrderCore, PlatformConfig, Trace};
+use randmod_sim::trace::EventSink;
+use randmod_sim::{BatchCore, Campaign, InOrderCore, PackedTrace, PlatformConfig};
 
 /// The arbitration-RNG salt of the contention engine, restated from its
 /// documented specification (decorrelates interleaving decisions from
@@ -104,7 +105,6 @@ impl RefCache {
         for order in &mut self.recency {
             *order = (0..self.geometry.ways()).collect();
         }
-        self.stats.flushes += 1;
     }
 
     fn reset_stats(&mut self) {
@@ -263,7 +263,7 @@ impl RefHierarchy {
     }
 
     /// The reference counterpart of `InOrderCore::execute_isolated`.
-    fn execute_isolated(&mut self, trace: &Trace, seed: u64) -> (u64, HierarchyStats) {
+    fn execute_isolated(&mut self, trace: &PackedTrace, seed: u64) -> (u64, HierarchyStats) {
         self.reseed(seed);
         self.reset_stats();
         let mut cycles = 0u64;
@@ -286,7 +286,6 @@ fn stats_delta(after: CacheStats, before: CacheStats) -> CacheStats {
         evictions: after.evictions - before.evictions,
         writebacks: after.writebacks - before.writebacks,
         stores: after.stores - before.stores,
-        flushes: after.flushes - before.flushes,
     }
 }
 
@@ -431,12 +430,12 @@ impl RefContentionCore {
     /// one contended run, returning `(cycles, stats)` per task in task
     /// order.  Traces beyond the task count are ignored; missing traces
     /// behave as idle tasks.
-    fn execute_contended(&mut self, traces: &[Trace], seed: u64) -> Vec<(u64, HierarchyStats)> {
+    fn execute_contended(&mut self, traces: &[PackedTrace], seed: u64) -> Vec<(u64, HierarchyStats)> {
         let tasks = self.hierarchy.task_count();
         self.hierarchy.reseed(seed);
         self.hierarchy.reset_stats();
         let mut queues: Vec<std::collections::VecDeque<MemEvent>> =
-            traces.iter().take(tasks).map(|t| t.iter().copied().collect()).collect();
+            traces.iter().take(tasks).map(|t| t.iter().collect()).collect();
         queues.resize_with(tasks, std::collections::VecDeque::new);
         let mut cycles = vec![0u64; tasks];
         let mut rng = SplitMix64::new(seed ^ ARBITRATION_SALT);
@@ -486,19 +485,24 @@ fn cases() -> u32 {
         .unwrap_or(20)
 }
 
-/// `trace` with every address moved `offset` bytes up — the same program
-/// loaded at another place in memory, as a layout sweep sees it.
-fn shifted(trace: &Trace, offset: u64) -> Trace {
+/// The trace of `events` emitted with every address moved `offset` bytes
+/// up — the same program loaded at another place in memory, as a layout
+/// sweep sees it.
+fn shifted(events: &[(MemEvent, usize)], offset: u64) -> PackedTrace {
     let shift = |addr: Address| Address::new(addr.raw() + offset);
-    trace
-        .into_iter()
-        .map(|event| match event {
-            MemEvent::InstrFetch(addr) => MemEvent::InstrFetch(shift(addr)),
-            MemEvent::Load(addr) => MemEvent::Load(shift(addr)),
-            MemEvent::Store(addr) => MemEvent::Store(shift(addr)),
-            MemEvent::Compute(cycles) => MemEvent::Compute(cycles),
+    let moved: Vec<(MemEvent, usize)> = events
+        .iter()
+        .map(|&(event, repeats)| {
+            let event = match event {
+                MemEvent::InstrFetch(addr) => MemEvent::InstrFetch(shift(addr)),
+                MemEvent::Load(addr) => MemEvent::Load(shift(addr)),
+                MemEvent::Store(addr) => MemEvent::Store(shift(addr)),
+                MemEvent::Compute(cycles) => MemEvent::Compute(cycles),
+            };
+            (event, repeats)
         })
-        .collect()
+        .collect();
+    expand(&moved)
 }
 
 proptest! {
@@ -564,8 +568,7 @@ proptest! {
         threads in 1usize..3,
     ) {
         let config = PlatformConfig::leon3_deterministic();
-        let trace = expand(&events);
-        let layouts: Vec<Trace> = offsets.iter().map(|&offset| shifted(&trace, offset)).collect();
+        let layouts: Vec<PackedTrace> = offsets.iter().map(|&offset| shifted(&events, offset)).collect();
         let swept = Campaign::new(config, 0)
             .with_threads(threads)
             .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
@@ -613,7 +616,7 @@ proptest! {
             Arbitration::RoundRobin
         };
         let config = platform(placement, replacement, l1_write);
-        let traces: Vec<Trace> = std::iter::once(expand(&victim))
+        let traces: Vec<PackedTrace> = std::iter::once(expand(&victim))
             .chain(opponents.iter().map(|o| expand(o)))
             .collect();
         let tasks = traces.len();
@@ -630,7 +633,7 @@ proptest! {
         for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
             let expected = reference.execute_contended(&traces, seed);
             let core_run = core
-                .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
+                .execute_contended(traces.iter().map(PackedTrace::iter).collect(), seed);
             prop_assert_eq!(&core_run, &expected);
             prop_assert_eq!(run.seed, seed);
             prop_assert_eq!(run.tasks.len(), tasks);
@@ -647,9 +650,9 @@ proptest! {
 /// arbitrations.
 #[test]
 fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
-    let mut victim = Trace::new();
-    let mut streamer = Trace::new();
-    let mut thrasher = Trace::new();
+    let mut victim = PackedTrace::new();
+    let mut streamer = PackedTrace::new();
+    let mut thrasher = PackedTrace::new();
     for i in 0..1500u64 {
         victim.fetch(Address::new(0x1000 + (i % 24) * 32));
         victim.load(Address::new(0x10_0000 + (i % 900) * 36));
@@ -678,7 +681,7 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
             for (&seed, run) in seeds.iter().zip(campaign_result.runs()) {
                 let expected = reference.execute_contended(&traces, seed);
                 let core_run = core
-                    .execute_contended(traces.iter().map(|t| t.iter().copied()).collect(), seed);
+                    .execute_contended(traces.iter().map(PackedTrace::iter).collect(), seed);
                 assert_eq!(
                     core_run, expected,
                     "ContentionCore diverged from the reference: {placement}/{arbitration} seed {seed}"
@@ -699,7 +702,7 @@ fn contended_reference_model_agrees_on_a_pressure_stressing_co_schedule() {
 /// tiny, and gives a stable repro target).
 #[test]
 fn reference_model_agrees_on_a_capacity_stressing_trace() {
-    let mut trace = Trace::new();
+    let mut trace = PackedTrace::new();
     for repeat in 0..2u64 {
         for i in 0..1200u64 {
             trace.fetch(Address::new(0x1000 + (i % 40) * 4));
@@ -717,7 +720,7 @@ fn reference_model_agrees_on_a_capacity_stressing_trace() {
     // DL1 and the L2.
     let mut load_lines: Vec<u64> = trace
         .iter()
-        .filter_map(|event| match *event {
+        .filter_map(|event| match event {
             MemEvent::Load(addr) => Some(addr.raw() >> 5),
             _ => None,
         })

@@ -16,7 +16,8 @@ use common::{event_strategy, expand};
 use proptest::prelude::*;
 use randmod_core::PlacementKind;
 use randmod_sim::contention::Arbitration;
-use randmod_sim::{Campaign, MemoryCheckpointStore, PlatformConfig, ShardSpec, Trace};
+use randmod_sim::trace::EventSink;
+use randmod_sim::{Campaign, MemoryCheckpointStore, PackedTrace, PlatformConfig, ShardSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -150,8 +151,8 @@ proptest! {
 #[test]
 fn default_schedule_sharded_drivers_match_run() {
     let config = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);
-    let mut victim = Trace::new();
-    let mut opponent = Trace::new();
+    let mut victim = PackedTrace::new();
+    let mut opponent = PackedTrace::new();
     for i in 0..1_500u64 {
         victim.fetch(randmod_core::Address::new(0x1000 + (i % 24) * 32));
         victim.load(randmod_core::Address::new(0x10_0000 + (i % 768) * 32));

@@ -2,11 +2,10 @@
 //!
 //! [`KernelBuilder`] emits the access patterns real control software is made
 //! of — straight-line code, loops, strided array sweeps, interpolation-table
-//! lookups, pointer chasing, stack frames — into any [`EventSink`]: a boxed
-//! [`randmod_sim::Trace`], a packed [`randmod_sim::PackedTrace`] or a
-//! constant-memory counting sink.  The EEMBC-like kernels of
-//! [`crate::eembc`] and the synthetic kernel of [`crate::synthetic`] are
-//! thin compositions of these patterns.
+//! lookups, pointer chasing, stack frames — into any [`EventSink`]: a
+//! [`randmod_sim::PackedTrace`] or a constant-memory counting sink.  The
+//! EEMBC-like kernels of [`crate::eembc`] and the synthetic kernel of
+//! [`crate::synthetic`] are thin compositions of these patterns.
 //!
 //! Every pattern that is a strided run of one access kind — straight-line
 //! code, a loop body's fetches, sequential loads and stores, a stack
@@ -36,9 +35,9 @@ const WORD: u64 = 4;
 ///
 /// ```
 /// use randmod_workloads::{KernelBuilder, MemoryLayout};
-/// use randmod_sim::Trace;
+/// use randmod_sim::PackedTrace;
 ///
-/// let mut trace = Trace::new();
+/// let mut trace = PackedTrace::new();
 /// let mut builder = KernelBuilder::new(MemoryLayout::default(), 1, &mut trace);
 /// builder.straight_code(8);
 /// builder.sequential_loads(0, 256, 4);
@@ -212,10 +211,10 @@ impl<'a> KernelBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randmod_sim::{MemEvent, Trace};
+    use randmod_sim::{MemEvent, PackedTrace};
 
-    fn build(f: impl FnOnce(&mut KernelBuilder<'_>)) -> Trace {
-        let mut trace = Trace::new();
+    fn build(f: impl FnOnce(&mut KernelBuilder<'_>)) -> PackedTrace {
+        let mut trace = PackedTrace::new();
         let mut b = KernelBuilder::new(MemoryLayout::default(), 42, &mut trace);
         f(&mut b);
         trace
@@ -279,8 +278,8 @@ mod tests {
 
     #[test]
     fn table_lookups_are_deterministic_per_seed() {
-        let mut a = Trace::new();
-        let mut b = Trace::new();
+        let mut a = PackedTrace::new();
+        let mut b = PackedTrace::new();
         KernelBuilder::new(MemoryLayout::default(), 7, &mut a).table_lookups(0, 2048, 100);
         KernelBuilder::new(MemoryLayout::default(), 7, &mut b).table_lookups(0, 2048, 100);
         assert_eq!(a, b);
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn builder_len_and_layout_accessors() {
-        let mut trace = Trace::new();
+        let mut trace = PackedTrace::new();
         let mut b = KernelBuilder::new(MemoryLayout::default(), 42, &mut trace);
         assert!(b.is_empty());
         b.compute(1);
@@ -341,17 +340,19 @@ mod tests {
                 b.compute(3);
             });
         };
-        let mut boxed = Trace::new();
+        // Per-event `Vec<MemEvent>` pushes against the packed word-writing
+        // run path.
+        let mut boxed: Vec<MemEvent> = Vec::new();
         emit(&mut KernelBuilder::new(MemoryLayout::default(), 5, &mut boxed));
-        let mut packed = randmod_sim::PackedTrace::new();
+        let mut packed = PackedTrace::new();
         emit(&mut KernelBuilder::new(MemoryLayout::default(), 5, &mut packed));
-        assert_eq!(packed.to_trace(), boxed);
+        assert_eq!(packed.iter().collect::<Vec<_>>(), boxed);
     }
 
     #[test]
     fn traces_differ_across_layouts_but_not_across_identical_builders() {
         let make = |layout: MemoryLayout| {
-            let mut trace = Trace::new();
+            let mut trace = PackedTrace::new();
             let mut b = KernelBuilder::new(layout, 3, &mut trace);
             b.straight_code(16);
             b.sequential_loads(0, 32, 16);

@@ -270,7 +270,7 @@ impl Workload for EembcBenchmark {
 /// use randmod_workloads::{EembcStress, MemoryLayout, Workload};
 ///
 /// let stress = EembcStress::l2_sized();
-/// let stats = stress.trace(&MemoryLayout::default()).stats(32);
+/// let stats = stress.packed_trace(&MemoryLayout::default()).stats(32);
 /// assert!(stats.data_footprint_bytes() >= 128 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -351,13 +351,14 @@ impl Workload for EembcStress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use randmod_sim::MemEvent;
 
     #[test]
     fn all_benchmarks_produce_nonempty_reproducible_traces() {
         let layout = MemoryLayout::default();
         for benchmark in EembcBenchmark::ALL {
-            let a = benchmark.trace(&layout);
-            let b = benchmark.trace(&layout);
+            let a = benchmark.packed_trace(&layout);
+            let b = benchmark.packed_trace(&layout);
             assert!(!a.is_empty(), "{benchmark} produced an empty trace");
             assert_eq!(a, b, "{benchmark} trace is not reproducible");
         }
@@ -391,7 +392,7 @@ mod tests {
         let layout = MemoryLayout::default();
         let footprints: Vec<u64> = EembcBenchmark::ALL
             .iter()
-            .map(|b| b.trace(&layout).stats(32).data_footprint_bytes())
+            .map(|b| b.packed_trace(&layout).stats(32).data_footprint_bytes())
             .collect();
         // The suite must span from small (< 2KB) to L1-stressing (> 8KB)
         // footprints so the placement comparison has both regimes.
@@ -403,7 +404,7 @@ mod tests {
     fn traces_have_realistic_instruction_data_mix() {
         let layout = MemoryLayout::default();
         for benchmark in EembcBenchmark::ALL {
-            let stats = benchmark.trace(&layout).stats(32);
+            let stats = benchmark.packed_trace(&layout).stats(32);
             assert!(
                 stats.instr_fetches > stats.loads + stats.stores,
                 "{benchmark}: control code should fetch more instructions than data accesses"
@@ -416,7 +417,7 @@ mod tests {
     fn trace_sizes_are_within_simulation_budget() {
         let layout = MemoryLayout::default();
         for benchmark in EembcBenchmark::ALL {
-            let len = benchmark.trace(&layout).len();
+            let len = benchmark.packed_trace(&layout).len();
             assert!(
                 (10_000..400_000).contains(&len),
                 "{benchmark} trace has {len} events"
@@ -426,9 +427,9 @@ mod tests {
 
     #[test]
     fn moving_the_program_preserves_the_trace_shape() {
-        let base = EembcBenchmark::Tblook.trace(&MemoryLayout::default());
+        let base = EembcBenchmark::Tblook.packed_trace(&MemoryLayout::default());
         let moved =
-            EembcBenchmark::Tblook.trace(&MemoryLayout::default().with_offsets(4096, 8192));
+            EembcBenchmark::Tblook.packed_trace(&MemoryLayout::default().with_offsets(4096, 8192));
         assert_eq!(base.len(), moved.len());
         assert_ne!(base, moved);
         assert_eq!(
@@ -440,7 +441,7 @@ mod tests {
     #[test]
     fn stress_variant_reaches_the_l2_partition_footprint() {
         let stress = EembcStress::l2_sized();
-        let stats = stress.trace(&MemoryLayout::default()).stats(32);
+        let stats = stress.packed_trace(&MemoryLayout::default()).stats(32);
         assert!(
             stats.data_footprint_bytes() >= 128 * 1024,
             "stress footprint {} below the 128KB L2 partition",
@@ -457,7 +458,12 @@ mod tests {
     fn stress_variant_streams_identically_into_packed_and_boxed_sinks() {
         let stress = EembcStress::with_passes(8 * 1024, 6);
         let layout = MemoryLayout::default();
-        assert_eq!(stress.packed_trace(&layout).to_trace(), stress.trace(&layout));
+        let mut boxed: Vec<MemEvent> = Vec::new();
+        stress.emit(&layout, &mut boxed);
+        assert_eq!(
+            stress.packed_trace(&layout).iter().collect::<Vec<_>>(),
+            boxed
+        );
     }
 
     #[test]
@@ -475,8 +481,8 @@ mod tests {
     #[test]
     fn cacheb_stresses_more_data_than_rspeed() {
         let layout = MemoryLayout::default();
-        let cacheb = EembcBenchmark::Cacheb.trace(&layout).stats(32);
-        let rspeed = EembcBenchmark::Rspeed.trace(&layout).stats(32);
+        let cacheb = EembcBenchmark::Cacheb.packed_trace(&layout).stats(32);
+        let rspeed = EembcBenchmark::Rspeed.packed_trace(&layout).stats(32);
         assert!(cacheb.data_footprint_bytes() > 4 * rspeed.data_footprint_bytes());
     }
 }

@@ -30,7 +30,7 @@
 //! ```
 //! use randmod_workloads::{EembcBenchmark, MemoryLayout, Workload};
 //!
-//! let trace = EembcBenchmark::A2time.trace(&MemoryLayout::default());
+//! let trace = EembcBenchmark::A2time.packed_trace(&MemoryLayout::default());
 //! assert!(!trace.is_empty());
 //! ```
 
@@ -51,17 +51,16 @@ pub use layout::{LayoutSweep, MemoryLayout};
 pub use synthetic::SyntheticKernel;
 
 use randmod_sim::trace::EventSink;
-use randmod_sim::{PackedTrace, Trace};
+use randmod_sim::PackedTrace;
 
 /// A workload that can render the memory-access stream of one end-to-end
 /// execution ("run to completion") for a given memory layout.
 ///
 /// Generation is *streaming*: [`Workload::emit`] writes events into any
-/// [`EventSink`], so consumers choose the representation — the packed
-/// 8-byte-per-event [`PackedTrace`] for replay campaigns
-/// ([`Workload::packed_trace`]), the boxed [`Trace`] for inspection
-/// ([`Workload::trace`]), or a constant-memory sink for counting — without
-/// the generator ever holding a materialised copy.
+/// [`EventSink`], so consumers choose what to do with them — collect the
+/// 8-byte-per-event [`PackedTrace`] that every campaign replays
+/// ([`Workload::packed_trace`]) or count them through a constant-memory
+/// sink — without the generator ever holding a materialised copy.
 pub trait Workload {
     /// Human-readable name of the workload.
     fn name(&self) -> String;
@@ -70,16 +69,8 @@ pub trait Workload {
     /// layout into `sink`, in program order.
     fn emit(&self, layout: &MemoryLayout, sink: &mut dyn EventSink);
 
-    /// Collects the emission into a boxed [`Trace`] (16 bytes/event) —
-    /// the compatibility adapter over [`Workload::emit`].
-    fn trace(&self, layout: &MemoryLayout) -> Trace {
-        let mut trace = Trace::new();
-        self.emit(layout, &mut trace);
-        trace
-    }
-
     /// Collects the emission into a [`PackedTrace`] (8 bytes/event), the
-    /// representation replay campaigns should use.
+    /// trace format every campaign replays.
     fn packed_trace(&self, layout: &MemoryLayout) -> PackedTrace {
         let mut packed = PackedTrace::new();
         self.emit(layout, &mut packed);

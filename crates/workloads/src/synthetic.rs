@@ -20,7 +20,7 @@ use std::fmt;
 /// use randmod_workloads::{MemoryLayout, SyntheticKernel, Workload};
 ///
 /// let kernel = SyntheticKernel::fits_l1();
-/// let trace = kernel.trace(&MemoryLayout::default());
+/// let trace = kernel.packed_trace(&MemoryLayout::default());
 /// assert_eq!(trace.stats(32).data_footprint_bytes(), 8 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,6 +138,7 @@ impl Workload for SyntheticKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use randmod_sim::MemEvent;
 
     #[test]
     fn paper_variants_have_expected_footprints() {
@@ -154,7 +155,7 @@ mod tests {
     fn trace_footprint_matches_configuration() {
         let layout = MemoryLayout::default();
         for kernel in SyntheticKernel::paper_variants() {
-            let stats = kernel.trace(&layout).stats(32);
+            let stats = kernel.packed_trace(&layout).stats(32);
             assert_eq!(stats.data_footprint_bytes(), kernel.footprint_bytes());
             // 50 traversals, one load per line per traversal.
             assert_eq!(
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn custom_traversal_count_is_respected() {
         let kernel = SyntheticKernel::with_traversals(4 * 1024, 3);
-        let stats = kernel.trace(&MemoryLayout::default()).stats(32);
+        let stats = kernel.packed_trace(&MemoryLayout::default()).stats(32);
         assert_eq!(stats.loads, (4 * 1024 / 32) * 3);
     }
 
@@ -194,7 +195,7 @@ mod tests {
     fn traces_are_reproducible() {
         let layout = MemoryLayout::default();
         let kernel = SyntheticKernel::fits_l1();
-        assert_eq!(kernel.trace(&layout), kernel.trace(&layout));
+        assert_eq!(kernel.packed_trace(&layout), kernel.packed_trace(&layout));
     }
 
     #[test]
@@ -215,7 +216,9 @@ mod tests {
         let kernel = SyntheticKernel::with_traversals(8 * 1024, 2);
         let layout = MemoryLayout::default();
         let packed = kernel.packed_trace(&layout);
-        assert_eq!(packed.to_trace(), kernel.trace(&layout));
+        let mut boxed: Vec<MemEvent> = Vec::new();
+        kernel.emit(&layout, &mut boxed);
+        assert_eq!(packed.iter().collect::<Vec<_>>(), boxed);
         // 8 bytes per event, half the boxed representation.
         assert!(packed.heap_bytes() >= packed.len() * 8);
     }

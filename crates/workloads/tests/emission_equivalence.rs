@@ -7,7 +7,7 @@
 
 use randmod_core::{AccessKind, Address};
 use randmod_sim::trace::{EventSink, SinkFn};
-use randmod_sim::{MemEvent, PackedTrace, Trace};
+use randmod_sim::{MemEvent, PackedTrace};
 use randmod_workloads::{
     CoSchedule, EembcBenchmark, EembcStress, KernelBuilder, LayoutSweep, MemoryLayout, Opponent,
     SyntheticKernel, Workload,
@@ -55,14 +55,15 @@ fn assert_run_path_matches(workload: &dyn Workload, layout: &MemoryLayout) -> Pa
     packed
 }
 
-/// The boxed-[`Trace`] collection (per event, through the provided
+/// The `Vec<MemEvent>` collection (per event, through the provided
 /// `emit_run`) packs to the run path's words, and the packed trace's
 /// capacity is the one per-event pushes reach.
 fn assert_matches_boxed(workload: &dyn Workload, layout: &MemoryLayout) {
     let packed = workload.packed_trace(layout);
-    let boxed = workload.trace(layout);
+    let mut boxed: Vec<MemEvent> = Vec::new();
+    workload.emit(layout, &mut boxed);
     let mut pushed = PackedTrace::new();
-    for &event in boxed.events() {
+    for event in boxed {
         pushed.push(event);
     }
     assert_eq!(
@@ -183,7 +184,7 @@ fn builder_patterns_match_their_per_event_definitions() {
     b.stack_frame(2, 2);
     b.matrix_row_major(0, 2, 3);
     b.matrix_col_major_store(0, 2, 3);
-    let mut expected = Trace::new();
+    let mut expected: Vec<MemEvent> = Vec::new();
     for i in 0..3 {
         expected.fetch(Address::new(code + i * 4));
     }
@@ -213,7 +214,7 @@ fn builder_patterns_match_their_per_event_definitions() {
             expected.store(Address::new(data + (r * 3 + c) * 4));
         }
     }
-    assert_eq!(packed.to_trace(), expected);
+    assert_eq!(packed.iter().collect::<Vec<_>>(), expected);
 }
 
 #[test]
@@ -229,8 +230,8 @@ fn provided_run_and_packed_run_agree_through_dyn_sinks() {
     };
     let mut packed = PackedTrace::new();
     run(&mut packed);
-    let mut boxed = Trace::new();
+    let mut boxed: Vec<MemEvent> = Vec::new();
     run(&mut boxed);
-    assert_eq!(packed.to_trace(), boxed);
-    assert_eq!(packed, PackedTrace::from(&boxed));
+    assert_eq!(packed.iter().collect::<Vec<_>>(), boxed);
+    assert_eq!(packed, boxed.into_iter().collect::<PackedTrace>());
 }

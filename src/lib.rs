@@ -30,8 +30,9 @@
 //! # fn main() -> Result<(), randmod::core::ConfigError> {
 //! // Measure the 8KB synthetic kernel on a LEON3-like platform with
 //! // Random Modulo first-level caches, 50 runs with a fresh seed each.
-//! // The kernel streams into the packed 8-byte-per-event representation,
-//! // which the campaign replays without ever boxing a `Vec<MemEvent>`.
+//! // The kernel streams into `PackedTrace`, the one 8-byte-per-event
+//! // trace format, which the campaign replays without ever materialising
+//! // a `Vec<MemEvent>`.
 //! let kernel = SyntheticKernel::with_traversals(8 * 1024, 5);
 //! let trace = kernel.packed_trace(&MemoryLayout::default());
 //! let platform = PlatformConfig::leon3().with_l1_placement(PlacementKind::RandomModulo);

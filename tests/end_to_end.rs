@@ -3,6 +3,7 @@
 
 use randmod::core::{PlacementKind, ReplacementKind};
 use randmod::mbpta::{ExecutionSample, MbptaAnalysis, MbptaConfig};
+use randmod::sim::trace::EventSink;
 use randmod::sim::{Campaign, PlatformConfig};
 use randmod::workloads::{EembcBenchmark, LayoutSweep, MemoryLayout, SyntheticKernel, Workload};
 
@@ -54,7 +55,7 @@ fn rm_pwcet_is_tighter_than_hrp_for_the_synthetic_20kb_kernel() {
 fn rm_average_performance_is_close_to_modulo_for_a_fitting_workload() {
     // Section 4.4: RM costs only a few percent over modulo on average.
     let kernel = SyntheticKernel::with_traversals(8 * 1024, 10);
-    let trace = kernel.trace(&MemoryLayout::default());
+    let trace = kernel.packed_trace(&MemoryLayout::default());
     let rm = measure(&trace, PlacementKind::RandomModulo, 100, 0x44);
 
     let deterministic = PlatformConfig::leon3_deterministic().with_replacement(ReplacementKind::Lru);
@@ -80,7 +81,7 @@ fn deterministic_platform_varies_with_memory_layout_but_not_with_seed() {
     // when they are way-aligned (conflict misses on a 4-way cache) but fit
     // when the linker staggers them.
     let build_trace = |stagger_lines: u64| {
-        let mut trace = randmod::sim::Trace::new();
+        let mut trace = randmod::sim::PackedTrace::new();
         let base = 0x4010_0000u64;
         for _ in 0..20 {
             for line in 0..128u64 {
@@ -92,9 +93,11 @@ fn deterministic_platform_varies_with_memory_layout_but_not_with_seed() {
         }
         trace
     };
-    let layouts: Vec<randmod::sim::Trace> = (0..6u64).map(build_trace).collect();
+    let layouts: Vec<randmod::sim::PackedTrace> = (0..6u64).map(build_trace).collect();
     let campaign = Campaign::new(PlatformConfig::leon3_deterministic(), 0);
-    let sweep = campaign.run_layout_sweep(&layouts).expect("valid platform");
+    let sweep = campaign
+        .run_layout_sweep_with(layouts.len(), |i| &layouts[i])
+        .expect("valid platform");
     let distinct: std::collections::HashSet<u64> = sweep.cycles().into_iter().collect();
     assert!(
         distinct.len() > 1,
@@ -118,7 +121,7 @@ fn deterministic_platform_varies_with_memory_layout_but_not_with_seed() {
     // hand, is insensitive to where the linker puts it — the regime where
     // deterministic placement is unproblematic.  The sweep is streamed:
     // each layout's packed trace is generated on demand and dropped after
-    // its run, never collected into a Vec<Trace>.
+    // its run, never collected into a Vec.
     let sweep_layouts = LayoutSweep::new(4);
     let benchmark_sweep = campaign
         .run_layout_sweep_with(sweep_layouts.len(), |i| {
@@ -139,7 +142,7 @@ fn reducing_cache_pressure_reduces_execution_time() {
         SyntheticKernel::with_traversals(20 * 1024, 5),
         SyntheticKernel::with_traversals(160 * 1024, 5),
     ] {
-        let trace = kernel.trace(&MemoryLayout::default());
+        let trace = kernel.packed_trace(&MemoryLayout::default());
         let result = Campaign::new(platform, 20).run(&trace).expect("valid platform");
         // Normalise per accessed line so footprints are comparable.
         let lines = kernel.footprint_bytes() / 32;

@@ -145,10 +145,11 @@ proptest! {
         stride in prop_oneof![Just(32u64), Just(64u64), Just(4096u64)],
         accesses in 10u64..200,
     ) {
-        use randmod::sim::{InOrderCore, PlatformConfig, Trace};
+        use randmod::sim::trace::EventSink;
+        use randmod::sim::{InOrderCore, PackedTrace, PlatformConfig};
         for placement in PlacementKind::ALL {
             let config = PlatformConfig::leon3().with_l1_placement(placement);
-            let mut trace = Trace::new();
+            let mut trace = PackedTrace::new();
             for i in 0..accesses {
                 trace.load(Address::new(0x1000 + i * stride));
             }
